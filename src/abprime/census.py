@@ -10,8 +10,7 @@ a constant.
 
 Counts are exact integers and fractions are exact rationals; a report also
 carries the applicable analytic bound so callers can flag any violation
-(the falsification signal).  Enumerations accept a shard count and sum
-shard counts exactly, so totals are identical for any sharding.
+(the falsification signal).
 
 Size limits are configuration: each operation takes an explicit limit, and
 the PSEUDO_DESK_LIMIT environment variable overrides the defaults.
@@ -26,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .intarith import decompose_two_power
+from .intarith import decompose_two_power, factorize
 from .periodsys import is_small_prime
 from .polyring import ModPoly, poly_pow_mod
 from .pseudofield import is_irreducible_mod_p
@@ -95,36 +94,7 @@ def factorize_desk(n: int, limit: Optional[int] = None) -> list[tuple[int, int]]
     cap = _limit(limit, FACTOR_LIMIT_DEFAULT)
     if n > cap:
         raise DeskLimitError(f"{n} exceeds the desk factorization limit {cap}")
-    out = []
-    for d in (2, 3):
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-    d = 5
-    while d * d <= n:
-        for cand in (d, d + 2):
-            if n % cand == 0:
-                e = 0
-                while n % cand == 0:
-                    n //= cand
-                    e += 1
-                out.append((cand, e))
-        d += 6
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def _shard_ranges(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    span = hi - lo
-    step = (span + jobs - 1) // jobs if span else 1
-    return [(lo + i * step, min(lo + (i + 1) * step, hi)) for i in range(jobs)
-            if lo + i * step < hi]
+    return factorize(n)
 
 
 def _count_nonwitnesses_range(n: int, s: int, t: int, lo: int, hi: int) -> int:
@@ -169,9 +139,7 @@ def _count_nonwitnesses_plain(n: int, s: int, t: int, lo: int, hi: int) -> int:
     return count
 
 
-def mr_nonwitness_census(
-    n: int, limit: Optional[int] = None, jobs: int = 1
-) -> CensusReport:
+def mr_nonwitness_census(n: int, limit: Optional[int] = None) -> CensusReport:
     """Exact count of Miller-Rabin nonwitness bases a in [1, n-1].
 
     n must be odd and composite.  The bound is min(1/4, the group-theoretic
@@ -187,10 +155,7 @@ def mr_nonwitness_census(
     if len(factors) == 1 and factors[0][1] == 1:
         raise ValueError(f"{n} is prime; the census needs a composite")
     s, t = decompose_two_power(n - 1)
-    failing = sum(
-        _count_nonwitnesses_range(n, s, t, lo, hi)
-        for lo, hi in _shard_ranges(1, n, jobs)
-    )
+    failing = _count_nonwitnesses_range(n, s, t, 1, n)
     group_bound = Fraction(1)
     for p, e in factors:
         group_bound /= p ** (e - 1)
@@ -244,14 +209,11 @@ def root_count_in_extension(
     return count
 
 
-def _identity_count_shard(
-    n: int, base: int, d: int, f: ModPoly, lo: int, hi: int
-) -> int:
-    """Count h (coefficient tuples over [0, base), indices [lo, hi) of the
-    lexicographic enumeration) with (h+1)^n = h^n + 1 mod f."""
-    space = itertools.islice(itertools.product(range(base), repeat=d), lo, hi)
+def _identity_count(n: int, base: int, d: int, f: ModPoly) -> int:
+    """Count h (coefficient tuples over [0, base) of length d) with
+    (h+1)^n = h^n + 1 mod f."""
     count = 0
-    for coeffs in space:
+    for coeffs in itertools.product(range(base), repeat=d):
         h = ModPoly(base, coeffs)
         lhs = poly_pow_mod(h.add_constant(1), n, f)
         rhs = poly_pow_mod(h, n, f).add_constant(1)
@@ -278,7 +240,7 @@ def _deg_g_mod_p(n: int, p: int) -> int:
 
 
 def ab_failure_census_mod_p(
-    n: int, p: int, f: ModPoly, limit: Optional[int] = None, jobs: int = 1
+    n: int, p: int, f: ModPoly, limit: Optional[int] = None
 ) -> CensusReport:
     """Exact count of h over F_p, deg h < deg f, with (h+1)^n = h^n + 1 mod (p, f).
 
@@ -288,10 +250,7 @@ def ab_failure_census_mod_p(
     """
     fp, d = _check_extension_args(n, p, f, limit)
     total = p**d
-    failing = sum(
-        _identity_count_shard(n, p, d, fp, lo, hi)
-        for lo, hi in _shard_ranges(0, total, jobs)
-    )
+    failing = _identity_count(n, p, d, fp)
     return CensusReport(
         subject=n,
         total=total,
@@ -303,7 +262,7 @@ def ab_failure_census_mod_p(
 
 
 def ab_failure_census_mod_N(
-    n: int, f: ModPoly, limit: Optional[int] = None, jobs: int = 1
+    n: int, f: ModPoly, limit: Optional[int] = None
 ) -> CensusReport:
     """Exact count of h over Z/NZ, deg h < deg f, passing the identity mod (N, f).
 
@@ -324,10 +283,7 @@ def ab_failure_census_mod_N(
     if n**d > cap:
         raise DeskLimitError(f"search space {n}^{d} exceeds the limit {cap}")
     total = n**d
-    failing = sum(
-        _identity_count_shard(n, n, d, f, lo, hi)
-        for lo, hi in _shard_ranges(0, total, jobs)
-    )
+    failing = _identity_count(n, n, d, f)
     r = len(factors)
     bound = Fraction(n**r)
     for p, _ in factors:

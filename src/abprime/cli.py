@@ -39,7 +39,6 @@ from .primality import (
     ConstructionFailure,
     Divisor,
     MRWitness,
-    Outcome,
     PipelineConfig,
     Verdict,
     ab_test,
@@ -124,10 +123,7 @@ def _cmd_isprime(args) -> int:
         degree_override=args.degree,
         fallback_policy="weak_random_f" if args.fallback == "weak" else "fail",
     )
-    try:
-        verdict = full_pipeline(args.n, config, seed)
-    except TensorDependency as exc:
-        verdict = Verdict(Outcome.UNKNOWN, ConstructionFailure(str(exc)), seed, 0)
+    verdict = full_pipeline(args.n, config, seed)
     if args.json:
         print(json.dumps(_verdict_json(args.n, verdict)))
     else:
@@ -181,16 +177,15 @@ def _emit_report(report: CensusReport, as_json: bool) -> None:
 
 
 def _cmd_census(args) -> int:
-    jobs = args.jobs
     try:
         if args.which == "mr":
-            report = mr_nonwitness_census(args.n, jobs=jobs)
+            report = mr_nonwitness_census(args.n)
             _emit_report(report, args.json)
             if report.fraction > report.bound:
                 return EXIT_BOUND_VIOLATION
         elif args.which == "ab-p":
             f = _load_poly(args.f)
-            report = ab_failure_census_mod_p(args.n, args.p, f, jobs=jobs)
+            report = ab_failure_census_mod_p(args.n, args.p, f)
             _emit_report(report, args.json)
             roots = root_count_in_extension(args.n, args.p, f)
             d = ModPoly(args.p, f.coeffs).degree
@@ -203,7 +198,7 @@ def _cmd_census(args) -> int:
                 return EXIT_BOUND_VIOLATION
         elif args.which == "ab-n":
             f = _load_poly(args.f)
-            report = ab_failure_census_mod_N(args.n, f, jobs=jobs)
+            report = ab_failure_census_mod_N(args.n, f)
             _emit_report(report, args.json)
             if report.fraction >= report.bound:
                 return EXIT_BOUND_VIOLATION
@@ -228,8 +223,8 @@ def _bench_one(bits: int, c: Fraction, trials: int, seed: int) -> BenchReport:
     lower = random_poly(degree, n, rng.getrandbits(64))
     f = ModPoly(n, list(lower.coeffs) + [0] * (degree - len(lower.coeffs)) + [1])
 
-    # one instrumented (untimed) round for the multiplication counts; the
-    # counted path of mod_pow is slower, so timing stays uninstrumented
+    # one instrumented (untimed) round for the multiplication counts, so
+    # that no timed call pays for the counter lookups
     with count_operations() as ops:
         miller_rabin_round(n, rng.randint(1, n - 1))
     mr_mults = ops.int_mults
@@ -279,6 +274,9 @@ def _cmd_bench(args) -> int:
     if not bit_sizes or any(b < 4 for b in bit_sizes):
         print("error: --bits needs a comma list of sizes >= 4", file=sys.stderr)
         return EXIT_USAGE
+    if args.trials < 1:
+        print("error: --trials must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     seed = _parse_seed(args.seed)
     print("bits,T_mr,T_ab,R_mr,R_ab")
     for bits in bit_sizes:
@@ -325,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     c_cls.add_argument("--kmax", type=int, required=True)
     for cp in (c_mr, c_abp, c_abn, c_cls):
         cp.add_argument("--json", action="store_true")
-        cp.add_argument("--jobs", type=int, default=1,
-                        help="shard count (totals are shard-independent)")
 
     p_b = sub.add_parser("bench", help="runtime-to-accuracy comparison (CSV)")
     p_b.add_argument("--bits", default="32,64,128", help="comma list of bit sizes")

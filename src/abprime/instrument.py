@@ -13,7 +13,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-__all__ = ["OpCounter", "count_operations", "active_counter"]
+__all__ = ["OpCounter", "count_operations", "active_counter", "binary_method_mults"]
 
 
 @dataclass
@@ -45,3 +45,11 @@ def count_operations() -> Iterator[OpCounter]:
 def active_counter() -> Optional[OpCounter]:
     """The counter currently in effect, or None when counting is off."""
     return _active.get()
+
+
+def binary_method_mults(e: int) -> int:
+    """Multiplications left-to-right binary exponentiation spends on e >= 0:
+    bitlen(e) - 1 squarings plus popcount(e) - 1 multiplies (0 for e = 0)."""
+    if e == 0:
+        return 0
+    return e.bit_length() + bin(e).count("1") - 2

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .instrument import active_counter
+from .instrument import active_counter, binary_method_mults
 
 __all__ = [
     "Inverse",
@@ -23,6 +23,7 @@ __all__ = [
     "try_invert",
     "decompose_two_power",
     "floor_log2",
+    "factorize",
 ]
 
 
@@ -44,30 +45,20 @@ InverseOutcome = Union[Inverse, FactorFound]
 
 
 def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus via left-to-right binary exponentiation.
+    """base**exponent mod modulus, computed by the built-in pow.
 
-    Uses at most 2*bitlen(exponent) modular multiplications; they are
-    tallied on the active OpCounter.  With counting off this defers to the
-    built-in pow, which computes the identical value.
+    With counting on, the active OpCounter is charged the modular
+    multiplications of left-to-right binary exponentiation:
+    bitlen(exponent) - 1 squarings plus popcount(exponent) - 1 multiplies.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     if exponent < 0:
         raise ValueError("negative exponent")
     counter = active_counter()
-    if counter is None:
-        return pow(base, exponent, modulus)
-    if exponent == 0:
-        return 1 % modulus
-    base %= modulus
-    result = base
-    for bit in bin(exponent)[3:]:
-        result = result * result % modulus
-        counter.int_mults += 1
-        if bit == "1":
-            result = result * base % modulus
-            counter.int_mults += 1
-    return result
+    if counter is not None:
+        counter.int_mults += binary_method_mults(exponent)
+    return pow(base, exponent, modulus)
 
 
 def gcd(a: int, b: int) -> int:
@@ -107,3 +98,31 @@ def floor_log2(n: int) -> int:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return n.bit_length() - 1
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 1 by 6k+-1 trial division, as (p, e)
+    pairs with p ascending; factorize(1) is empty."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    out = []
+    for d in (2, 3):
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+    d = 5
+    while d * d <= n:
+        for cand in (d, d + 2):
+            if n % cand == 0:
+                e = 0
+                while n % cand == 0:
+                    n //= cand
+                    e += 1
+                out.append((cand, e))
+        d += 6
+    if n > 1:
+        out.append((n, 1))
+    return out

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
 
+from .intarith import factorize
+
 __all__ = [
     "PeriodPair",
     "PeriodSystem",
@@ -94,20 +96,6 @@ def system_degree(system: PeriodSystem) -> int:
     return reduce(lambda acc, p: acc * p.q, system.pairs, 1)
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def find_period_system(
     n: int,
     degree_target: int,
@@ -133,7 +121,7 @@ def find_period_system(
     for r in range(3, cap_r):
         if not is_small_prime(r):
             continue
-        for q in _prime_divisors(r - 1):
+        for q, _ in factorize(r - 1):
             if q < cap_q and q not in best_r and is_period_pair(n, r, q):
                 best_r[q] = r
 

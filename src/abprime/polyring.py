@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .instrument import active_counter
+from .instrument import active_counter, binary_method_mults
 from .intarith import FactorFound, try_invert
 
 try:
@@ -311,27 +311,25 @@ def poly_mul_mod(a: ModPoly, b: ModPoly, f: ModPoly) -> ModPoly:
 def poly_pow_mod(a: ModPoly, e: int, f: ModPoly) -> ModPoly:
     """a**e mod f by left-to-right binary exponentiation.
 
-    Uses at most 2*bitlen(e) ring multiplications, tallied on the active
-    OpCounter.
+    Uses bitlen(e) - 1 squarings plus popcount(e) - 1 multiplies, tallied
+    on the active OpCounter.
     """
     if e < 0:
         raise ValueError("negative exponent")
     _check_ring_args(a, a, f)
+    counter = active_counter()
+    if counter is not None:
+        counter.poly_mults += binary_method_mults(e)
     if e == 0:
         return ModPoly.one(f.modulus)
-    counter = active_counter()
     reducer = _reducer_for(f)
     m = f.modulus
     base = list(a.coeffs)
     cur = base[:]
     for bit in bin(e)[3:]:
         cur = reducer.reduce(_mul_coeffs(cur, cur, m))
-        if counter is not None:
-            counter.poly_mults += 1
         if bit == "1":
             cur = reducer.reduce(_mul_coeffs(cur, base, m))
-            if counter is not None:
-                counter.poly_mults += 1
     return ModPoly(m, cur)
 
 
@@ -368,59 +366,35 @@ def poly_is_unit_mod(u: ModPoly, f: ModPoly) -> UnitOutcome:
         return NonUnit()
     m = f.modulus
     # invariant: r_i == s_i * u  (mod f); f itself enters with s = 0
-    r0, s0 = list(f.coeffs), []
-    r1, s1 = list(u.coeffs), [1]
+    r0, s0 = f, ModPoly.zero(m)
+    r1, s1 = u, ModPoly.one(m)
     while True:
-        if len(r1) == 1:
-            out = try_invert(r1[0], m)
-            if isinstance(out, FactorFound):
-                return out
-            inv = [c * out.value % m for c in s1]
-            return Unit(ModPoly(m, _reducer_for(f).reduce(inv)))
-        lead = r1[-1]
+        lead = r1.coeffs[-1]
         if lead != 1:
             out = try_invert(lead, m)
             if isinstance(out, FactorFound):
                 return out
-            r1 = [c * out.value % m for c in r1]
-            s1 = [c * out.value % m for c in s1]
+            r1 = ModPoly(m, [c * out.value for c in r1.coeffs])
+            s1 = ModPoly(m, [c * out.value for c in s1.coeffs])
+        if r1.degree == 0:
+            return Unit(ModPoly(m, _reducer_for(f).reduce(list(s1.coeffs))))
         # long-divide r0 by the now monic r1, updating the s-track alongside
-        q, rem = _divmod_monic(r0, r1, m)
-        qs1 = _mul_coeffs(q, s1, m) if q and s1 else []
-        s_new = _sub_vec(s0, qs1, m)
-        r0, s0 = r1, s1
-        r1, s1 = rem, s_new
-        if not r1:
+        q, rem = _divmod_monic(r0, r1)
+        r0, s0, r1, s1 = r1, s1, rem, s0 - ModPoly(m, _mul_coeffs(q, s1.coeffs, m))
+        if r1.is_zero():
             return NonUnit()
 
 
-def _trim(c: list[int], m: int) -> list[int]:
-    while c and c[-1] % m == 0:
-        c.pop()
-    return c
-
-
-def _sub_vec(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % m
-    return _trim(out, m)
-
-
-def _divmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by monic b (coefficient vectors)."""
-    da, db = len(a) - 1, len(b) - 1
-    if da < db:
-        return [], _trim(list(a), m)
-    rem = list(a)
-    q = [0] * (da - db + 1)
-    for i in range(da, db - 1, -1):
-        t = rem[i] % m
+def _divmod_monic(a: ModPoly, b: ModPoly) -> tuple[list[int], ModPoly]:
+    """Quotient coefficients and remainder of a by the monic b."""
+    m, db = a.modulus, b.degree
+    rem = list(a.coeffs)
+    q = [0] * max(0, a.degree - db + 1)
+    for i in range(a.degree, db - 1, -1):
+        t = rem[i]
         if t:
             q[i - db] = t
-            for j in range(db + 1):
-                if b[j]:
-                    rem[i - db + j] = (rem[i - db + j] - t * b[j]) % m
-    return q, _trim(rem[:db], m)
+            for j, bj in enumerate(b.coeffs):
+                if bj:
+                    rem[i - db + j] = (rem[i - db + j] - t * bj) % m
+    return q, ModPoly(m, rem[:db])

@@ -138,6 +138,18 @@ def miller_rabin_round(n: int, a: int) -> bool:
     return False
 
 
+def _mr_rounds(
+    n: int, rounds: int, rng: random.Random, seed: int
+) -> Optional[Verdict]:
+    """Up to `rounds` Miller-Rabin rounds on odd n > 2 at bases drawn from rng;
+    the COMPOSITE verdict of the first witness, or None if every round passes."""
+    for k in range(rounds):
+        a = rng.randint(1, n - 1)
+        if not miller_rabin_round(n, a):
+            return Verdict(Outcome.COMPOSITE, MRWitness(a), seed, k + 1)
+    return None
+
+
 def miller_rabin(n: int, rounds: int, seed: int) -> Verdict:
     """Miller-Rabin test with uniformly random bases in [1, n-1]."""
     if n <= 1:
@@ -148,11 +160,9 @@ def miller_rabin(n: int, rounds: int, seed: int) -> Verdict:
         return Verdict(Outcome.PRIME, None, seed, 0)
     if n % 2 == 0:
         return Verdict(Outcome.COMPOSITE, Divisor(2), seed, 0)
-    rng = random.Random(seed)
-    for k in range(rounds):
-        a = rng.randint(1, n - 1)
-        if not miller_rabin_round(n, a):
-            return Verdict(Outcome.COMPOSITE, MRWitness(a), seed, k + 1)
+    found = _mr_rounds(n, rounds, random.Random(seed), seed)
+    if found is not None:
+        return found
     return Verdict(Outcome.PRIME, None, seed, rounds)
 
 
@@ -194,15 +204,13 @@ def combined_test(n: int, f: ModPoly, seed: int) -> Verdict:
     rounds performed; on the non-short-circuited path it is exactly deg f.
     """
     _check_test_args(n, f)
+    if n > 2 and n % 2 == 0:
+        return Verdict(Outcome.COMPOSITE, Divisor(2), seed, 1)
     rng = random.Random(seed)
-    for i in range(f.degree):
-        if n == 2:
-            continue
-        if n % 2 == 0:
-            return Verdict(Outcome.COMPOSITE, Divisor(2), seed, i + 1)
-        a = rng.randint(1, n - 1)
-        if not miller_rabin_round(n, a):
-            return Verdict(Outcome.COMPOSITE, MRWitness(a), seed, i + 1)
+    # n == 2 has no base to draw; it goes straight to the identity test
+    found = _mr_rounds(n, f.degree if n > 2 else 0, rng, seed)
+    if found is not None:
+        return found
     inner = ab_test(n, f, rng.getrandbits(64))
     return Verdict(inner.outcome, inner.evidence, seed, f.degree)
 

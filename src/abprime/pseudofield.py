@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .intarith import FactorFound, try_invert
+from .intarith import FactorFound, factorize, try_invert
 from .periodsys import (
     PeriodPair,
     PeriodSystem,
@@ -43,8 +43,8 @@ from .polyring import (
     Unit,
     UnitOutcome,
     _mul_coeffs,
-    _reducer_for,
     poly_is_unit_mod,
+    poly_mul_mod,
     poly_pow_mod,
 )
 
@@ -167,17 +167,11 @@ class CyclotomicElt:
         return CyclotomicElt(self.modulus, self.r, [c * a for a in self.coords])
 
     def pow(self, e: int) -> "CyclotomicElt":
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = CyclotomicElt.one(self.modulus, self.r)
-        if e == 0:
-            return result
-        result = self
-        for bit in bin(e)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
+        # the power basis 1..zeta^(r-2) is the residue basis modulo
+        # Phi_r = 1 + x + ... + x^(r-1)
+        m, r = self.modulus, self.r
+        p = poly_pow_mod(ModPoly(m, self.coords), e, ModPoly(m, [1] * r))
+        return CyclotomicElt(m, r, p.coeffs + (0,) * (r - 1 - len(p.coeffs)))
 
     def is_constant(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
@@ -228,16 +222,7 @@ def smallest_primitive_root(r: int) -> int:
         raise ValueError(f"r must be prime, got {r}")
     if r == 2:
         return 1
-    divisors = []
-    t, d = r - 1, 2
-    while d * d <= t:
-        if t % d == 0:
-            divisors.append(d)
-            while t % d == 0:
-                t //= d
-        d += 1
-    if t > 1:
-        divisors.append(t)
+    divisors = [p for p, _ in factorize(r - 1)]
     for g in range(2, r):
         if all(pow(g, (r - 1) // p, r) != 1 for p in divisors):
             return g
@@ -406,20 +391,6 @@ def pseudofield_from_period_pair(n: int, pair: PeriodPair) -> Pseudofield:
     return Pseudofield(n, f, pair.q, PeriodSystem((pair,), pair.q))
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _x_residue(f: ModPoly) -> ModPoly:
     """The residue of x in (Z/NZ[x])/(f), reduced (nontrivial when deg f = 1)."""
     if f.degree >= 2:
@@ -436,14 +407,8 @@ def _power_columns(f: ModPoly, count: int) -> list[list[int]]:
     x = _x_residue(f)
     for _ in range(count):
         cols.append([cur.coefficient(i) for i in range(d)])
-        cur = _mul_mod_raw(cur, x, f)
+        cur = poly_mul_mod(cur, x, f)
     return cols
-
-
-def _mul_mod_raw(a: ModPoly, b: ModPoly, f: ModPoly) -> ModPoly:
-    # internal multiply that bypasses the instrumented public op
-    prod = _mul_coeffs(a.coeffs, b.coeffs, f.modulus)
-    return ModPoly(f.modulus, _reducer_for(f).reduce(prod))
 
 
 def _kron(u: Sequence[int], v: Sequence[int], m: int) -> list[int]:
@@ -642,22 +607,27 @@ def _verify_structural(a: Pseudofield) -> Optional[AxiomReport]:
     return _report_from_checks(identity, checks)
 
 
-def _verify_power_chain(n: int, f: ModPoly, d: int) -> AxiomReport:
+def _rabin_chain(
+    f: ModPoly, e: int, d: int
+) -> tuple[bool, list[tuple[int, ModPoly]]]:
+    """Rabin's data for x -> x^e on (Z/mZ[x])/(f), from x^(e^i) for i <= d:
+    whether x^(e^d) = x, and x^(e^(d/l)) - x for each prime l | d."""
     x = _x_residue(f)
-    primes = _prime_divisors(d)
+    primes = [l for l, _ in factorize(d)]
     wanted = {d // l for l in primes}
-    beta = x
-    stops: dict[int, ModPoly] = {0: x}
+    stops: dict[int, ModPoly] = {}
+    g = x
     for i in range(1, d + 1):
-        beta = poly_pow_mod(beta, n, f)
+        g = poly_pow_mod(g, e, f)
         if i in wanted or i == d:
-            stops[i] = beta
-    identity = stops[d] == x
-    checks: list[tuple[int, UnitOutcome]] = []
-    for l in primes:
-        u = stops[d // l] - x
-        checks.append((l, poly_is_unit_mod(u, f)))
-    return _report_from_checks(identity, checks)
+            stops[i] = g
+    return stops[d] == x, [(l, stops[d // l] - x) for l in primes]
+
+
+def _verify_power_chain(n: int, f: ModPoly, d: int) -> AxiomReport:
+    identity, diffs = _rabin_chain(f, n, d)
+    return _report_from_checks(
+        identity, [(l, poly_is_unit_mod(u, f)) for l, u in diffs])
 
 
 def frobenius_index_mod_p(a: Pseudofield, p: int) -> int:
@@ -731,21 +701,8 @@ def is_irreducible_mod_p(f: ModPoly, p: int) -> bool:
     d = fp.degree
     if d < 1 or not fp.is_monic():
         raise ValueError("f must stay monic of degree >= 1 mod p")
-    x = _x_residue(fp)
-    primes = _prime_divisors(d)
-    wanted = {d // l for l in primes}
-    chain: dict[int, ModPoly] = {}
-    g = x
-    for i in range(1, d + 1):
-        g = poly_pow_mod(g, p, fp)
-        if i in wanted or i == d:
-            chain[i] = g
-    if chain[d] != x:
-        return False
-    for l in primes:
-        if not isinstance(poly_is_unit_mod(chain[d // l] - x, fp), Unit):
-            return False
-    return True
+    identity, diffs = _rabin_chain(fp, p, d)
+    return identity and all(isinstance(poly_is_unit_mod(u, fp), Unit) for _, u in diffs)
 
 
 def construct_poly_pipeline(

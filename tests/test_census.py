@@ -79,11 +79,6 @@ def test_mr_census_bound_fields():
     assert rep.fraction <= rep.bound
 
 
-def test_mr_census_sharding_is_exact():
-    for jobs in (1, 2, 3, 7, 16):
-        assert mr_nonwitness_census(341, jobs=jobs).failing == 50
-
-
 def test_mr_census_plain_fallback_agrees():
     from abprime.census import _count_nonwitnesses_plain, _count_nonwitnesses_range
     from abprime.intarith import decompose_two_power
@@ -153,13 +148,6 @@ def test_ab_census_mod_p_341():
     assert rep.failing == root_count_in_extension(341, 11, f)
     assert rep.fraction < Fraction(341, 121)
     assert rep.fraction <= rep.bound
-
-
-def test_ab_census_sharding_is_exact():
-    f = ModPoly(15, [1, 0, 1])
-    base = ab_failure_census_mod_p(15, 3, f).failing
-    for jobs in (2, 3, 5, 9):
-        assert ab_failure_census_mod_p(15, 3, f, jobs=jobs).failing == base
 
 
 def test_ab_census_mod_N_crt():

@@ -1,10 +1,14 @@
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from abprime import ModPoly
-from abprime.cli import compute_ratio, main
+from abprime.cli import build_parser, compute_ratio, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -136,14 +140,9 @@ def test_census_class(capsys):
     assert [obj["n"] for obj in lines] == [21, 133, 341]
 
 
-def test_census_jobs_consistent(capsys):
-    outs = set()
-    for jobs in ("1", "3", "8"):
-        code, out, _ = run(capsys, "census", "mr", "341", "--json",
-                           "--jobs", jobs)
-        assert code == 0
-        outs.add(out)
-    assert len(outs) == 1
+def test_census_jobs_is_usage_error(capsys):
+    code, _, _ = run(capsys, "census", "mr", "341", "--jobs", "2")
+    assert code == 64
 
 
 def test_bench_schema(capsys):
@@ -165,6 +164,14 @@ def test_bench_usage(capsys):
     assert code == 64
 
 
+def test_bench_rejects_nonpositive_trials(capsys):
+    for trials in ("0", "-1"):
+        code, out, _ = run(capsys, "bench", "--bits", "8", "--seed", "01",
+                           "--trials", trials)
+        assert code == 64
+        assert out == ""
+
+
 def test_compute_ratio():
     assert compute_ratio(1000, Fraction(-2)) == 500
     assert compute_ratio(847000, Fraction(-847)) == 1000
@@ -178,3 +185,17 @@ def test_compute_ratio():
 
 def test_no_subcommand_is_usage_error(capsys):
     assert run(capsys, *[])[0] == 64
+
+
+def test_readme_cli_examples_parse():
+    # every command shown in README's CLI block must be accepted by the parser
+    text = README.read_text()
+    block = text[text.index("## CLI"):]
+    block = block[block.index("```sh"):]
+    block = block[:block.index("```", 5)]
+    lines = [line.split("#")[0] for line in block.splitlines()
+             if line.startswith("abprime ")]
+    assert len(lines) >= 8
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

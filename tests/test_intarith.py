@@ -62,6 +62,19 @@ def test_mod_pow_multiplication_bound():
         assert ops.int_mults <= 2 * e.bit_length()
 
 
+def binary_method_count(e):
+    return 0 if e == 0 else e.bit_length() - 1 + bin(e).count("1") - 1
+
+
+def test_mod_pow_exact_multiplication_count():
+    rng = random.Random(8)
+    for e in [0, 1, 2, 3] + [rng.randint(0, 10**12) for _ in range(200)]:
+        m = rng.randint(2, 10**12)
+        with count_operations() as ops:
+            mod_pow(rng.randrange(m), e, m)
+        assert ops.int_mults == binary_method_count(e), e
+
+
 def test_mod_pow_additivity():
     rng = random.Random(4)
     for _ in range(200):

@@ -88,6 +88,19 @@ def test_pow_multiplication_bound():
         assert ops.poly_mults <= 2 * e.bit_length()
 
 
+def test_pow_exact_multiplication_count():
+    rng = random.Random(13)
+    for e in [0, 1, 2, 3, 10006, 12345, 2**20 + 1] + \
+            [rng.randint(0, 10**9) for _ in range(50)]:
+        m = rng.randint(2, 1000)
+        f = ModPoly(m, [rng.randrange(m), rng.randrange(m), 1])
+        a = ModPoly(m, [rng.randrange(m), rng.randrange(m)])
+        with count_operations() as ops:
+            poly_pow_mod(a, e, f)
+        want = 0 if e == 0 else e.bit_length() - 1 + bin(e).count("1") - 1
+        assert ops.poly_mults == want, e
+
+
 def test_ring_laws():
     rng = random.Random(12)
     for _ in range(100):

@@ -154,6 +154,17 @@ def test_combined_composite_evidence_rechecks():
                 assert n % v.evidence.d == 0
 
 
+def test_combined_matches_miller_rabin_when_composite():
+    # combined_test runs the same seeded rounds as miller_rabin(n, deg f, seed)
+    for n in (341, 561, 1105, 8911, 2047):
+        for deg in (1, 3, 6):
+            f = ModPoly(n, [3] * deg + [1])
+            for seed in range(50):
+                mr = miller_rabin(n, deg, seed)
+                if mr.outcome is Outcome.COMPOSITE:
+                    assert combined_test(n, f, seed) == mr, (n, deg, seed)
+
+
 def test_full_pipeline_prime():
     cfg = PipelineConfig(degree_override=4)
     v = full_pipeline(97, cfg, 0)

@@ -61,6 +61,22 @@ def test_cyclotomic_arithmetic_basics():
     assert total == CyclotomicElt.zero(m, r)
 
 
+def test_cyclotomic_pow_matches_repeated_mul():
+    # deg Phi_r = r - 1 lies below _NEWTON_MIN_DEGREE for r = 7, 31 and above
+    # it for r = 101, so both reduction paths are exercised
+    from abprime.polyring import _NEWTON_MIN_DEGREE
+    assert 31 - 1 < _NEWTON_MIN_DEGREE <= 101 - 1
+    rng = random.Random(41)
+    for m in (15, 341, 97, 2**61 - 1):
+        for r in (7, 31, 101):
+            a = CyclotomicElt(m, r, [rng.randrange(m) for _ in range(r - 1)])
+            assert a.pow(0) == CyclotomicElt.one(m, r)
+            want = CyclotomicElt.one(m, r)
+            for e in range(1, 40):
+                want = want * a
+                assert a.pow(e) == want, (m, r, e)
+
+
 def test_cyclotomic_mul_matches_naive():
     rng = random.Random(40)
     for _ in range(50):
