@@ -3,10 +3,11 @@
 Every probability the library's accuracy analysis relies on is backed here
 by brute-force enumeration at desk scale: the fraction of Miller-Rabin
 nonwitness bases, the fraction of polynomials h passing the identity
-(h+1)^N = h^N + 1 mod (p, f) (and mod (N, f) for tiny instances), root
-counts of (x+1)^N - x^N - 1 in small extension fields, and the scan of the
-p = 2k+1, q = 6k+1 semiprime family whose nonwitness fraction stays above
-a constant.
+(h+1)^N = h^N + 1 mod (p, f) (and mod (N, f) for tiny instances), and the
+scan of the p = 2k+1, q = 6k+1 semiprime family whose nonwitness fraction
+stays above a constant.  Root counts of (x+1)^N - x^N - 1 in F_p[x]/(f)
+come from a gcd instead, at O(min(N, p^d)^2) F_p operations in Euclid, and
+check the mod-(p, f) census by an independent method.
 
 Counts are exact integers and fractions are exact rationals; a report also
 carries the applicable analytic bound so callers can flag any violation
@@ -27,7 +28,7 @@ import numpy as np
 
 from .intarith import decompose_two_power, factorize
 from .periodsys import is_small_prime
-from .polyring import ModPoly, poly_pow_mod
+from .polyring import ModPoly, poly_is_unit_mod, poly_pow_mod
 from .pseudofield import is_irreducible_mod_p
 
 __all__ = [
@@ -97,17 +98,15 @@ def factorize_desk(n: int, limit: Optional[int] = None) -> list[tuple[int, int]]
     return factorize(n)
 
 
-def _count_nonwitnesses_range(n: int, s: int, t: int, lo: int, hi: int) -> int:
-    """Nonwitness bases a in [lo, hi) counted exhaustively.
+def _count_nonwitnesses_range(n: int, s: int, t: int) -> int:
+    """Nonwitness bases a in [1, n) counted exhaustively.
 
     Vectorized when the intermediate products fit in int64; the plain loop
     handles moduli beyond that (reachable only with a raised size limit).
     """
-    if hi <= lo:
-        return 0
     if (n - 1) * (n - 1) >= 2**63:
-        return _count_nonwitnesses_plain(n, s, t, lo, hi)
-    a = np.arange(lo, hi, dtype=np.int64)
+        return _count_nonwitnesses_plain(n, s, t)
+    a = np.arange(1, n, dtype=np.int64)
     x = np.ones_like(a)
     base = a.copy()
     e = t
@@ -124,9 +123,9 @@ def _count_nonwitnesses_range(n: int, s: int, t: int, lo: int, hi: int) -> int:
     return int(nonwit.sum())
 
 
-def _count_nonwitnesses_plain(n: int, s: int, t: int, lo: int, hi: int) -> int:
+def _count_nonwitnesses_plain(n: int, s: int, t: int) -> int:
     count = 0
-    for a in range(lo, hi):
+    for a in range(1, n):
         x = pow(a, t, n)
         if x == 1:
             count += 1
@@ -155,7 +154,7 @@ def mr_nonwitness_census(n: int, limit: Optional[int] = None) -> CensusReport:
     if len(factors) == 1 and factors[0][1] == 1:
         raise ValueError(f"{n} is prime; the census needs a composite")
     s, t = decompose_two_power(n - 1)
-    failing = _count_nonwitnesses_range(n, s, t, 1, n)
+    failing = _count_nonwitnesses_range(n, s, t)
     group_bound = Fraction(1)
     for p, e in factors:
         group_bound /= p ** (e - 1)
@@ -192,21 +191,29 @@ def _check_extension_args(
 def root_count_in_extension(
     n: int, p: int, f: ModPoly, limit: Optional[int] = None
 ) -> int:
-    """Number of roots of (x+1)^n - x^n - 1 in the field F_p[x]/(f).
+    """Number of roots of g = (x+1)^n - x^n - 1 in the field F_p[x]/(f).
 
-    Every element beta is enumerated and the polynomial is evaluated
-    pointwise as (beta+1)^n - beta^n - 1 with binary exponentiation; the
-    degree-n polynomial itself is never materialized.
+    Counted without enumeration as deg gcd(g, x^(p^d) - x) over F_p, the
+    distinct-degree step of Cantor-Zassenhaus.  g is built with exponent
+    m = (n-1) mod (p^d-1) + 1, which agrees with n on every beta in F_(p^d)
+    (beta = -1 included, as m and n share their parity for odd p), so
+    deg g < min(n, p^d) and Euclid costs O(min(n, p^d)^2) F_p operations.
     """
-    fp, d = _check_extension_args(n, p, f, limit)
-    count = 0
-    for coeffs in itertools.product(range(p), repeat=d):
-        beta = ModPoly(p, coeffs)
-        lhs = poly_pow_mod(beta.add_constant(1), n, fp)
-        rhs = poly_pow_mod(beta, n, fp).add_constant(1)
-        if lhs == rhs:
-            count += 1
-    return count
+    _, d = _check_extension_args(n, p, f, limit)
+    q = p**d
+    m = (n - 1) % (q - 1) + 1
+    x = ModPoly.x(p)
+    # (x+1)^m in full, as nothing of degree <= m is reduced mod x^(m+1)
+    g = poly_pow_mod(x.add_constant(1), m, ModPoly(p, [0] * (m + 1) + [1]))
+    g = (g - ModPoly(p, [0] * m + [1])).add_constant(-1)
+    if g.is_zero():
+        return q
+    inv = pow(g.coeffs[-1], -1, p)
+    g = ModPoly(p, [c * inv for c in g.coeffs])
+    if g.degree == 1:
+        return 1  # g(0) = 0, so g = x
+    # 0 is always a root, so the gcd is never a unit
+    return poly_is_unit_mod(poly_pow_mod(x, q, g) - x, g).divisor.degree
 
 
 def _identity_count(n: int, base: int, d: int, f: ModPoly) -> int:

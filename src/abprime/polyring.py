@@ -175,7 +175,9 @@ class Unit:
 
 @dataclass(frozen=True)
 class NonUnit:
-    """u shares a nonconstant common divisor with f (prime-behaving modulus)."""
+    """u and f have the nonconstant monic gcd divisor (f itself when u = 0)."""
+
+    divisor: ModPoly
 
 
 UnitOutcome = Union[Unit, NonUnit, FactorFound]
@@ -352,8 +354,8 @@ def poly_is_unit_mod(u: ModPoly, f: ModPoly) -> UnitOutcome:
     """Classify u as a unit of (Z/NZ[x])/(f) by extended Euclid.
 
     Returns Unit(inverse) when the gcd computation terminates in an
-    invertible constant, NonUnit when a nonconstant common divisor survives
-    (or u is zero), and FactorFound(d) as soon as a leading-coefficient
+    invertible constant, NonUnit(gcd) when a nonconstant monic gcd survives
+    (f when u is zero), and FactorFound(d) as soon as a leading-coefficient
     inversion exposes a proper divisor d of N.
     """
     if u.modulus != f.modulus:
@@ -363,7 +365,7 @@ def poly_is_unit_mod(u: ModPoly, f: ModPoly) -> UnitOutcome:
     if u.degree >= f.degree:
         raise ValueError("need deg u < deg f")
     if u.is_zero():
-        return NonUnit()
+        return NonUnit(f)
     m = f.modulus
     # invariant: r_i == s_i * u  (mod f); f itself enters with s = 0
     r0, s0 = f, ModPoly.zero(m)
@@ -382,7 +384,7 @@ def poly_is_unit_mod(u: ModPoly, f: ModPoly) -> UnitOutcome:
         q, rem = _divmod_monic(r0, r1)
         r0, s0, r1, s1 = r1, s1, rem, s0 - ModPoly(m, _mul_coeffs(q, s1.coeffs, m))
         if r1.is_zero():
-            return NonUnit()
+            return NonUnit(r0)
 
 
 def _divmod_monic(a: ModPoly, b: ModPoly) -> tuple[list[int], ModPoly]:

@@ -134,7 +134,7 @@ def miller_rabin_round(n: int, a: int) -> bool:
     for _ in range(s):
         if x == n - 1:
             return True
-        x = x * x % n
+        x = mod_pow(x, 2, n)
     return False
 
 

@@ -423,15 +423,9 @@ def _kron(u: Sequence[int], v: Sequence[int], m: int) -> list[int]:
     return out
 
 
-@dataclass
-class _FoldStep:
-    """One tensor fold: new generator's power basis over (prev ⊗ factor)."""
-
-    cols: list[list[int]]  # d1*d2 columns of length d1*d2
-    dims: tuple[int, int]
-
-
-def _tensor_step(f1: ModPoly, f2: ModPoly, m: int) -> tuple[ModPoly, _FoldStep]:
+def _tensor_step(f1: ModPoly, f2: ModPoly, m: int) -> tuple[ModPoly, list[list[int]]]:
+    """The folded polynomial, and the new generator's power basis over
+    (prev ⊗ factor): d1*d2 columns of length d1*d2."""
     d1, d2 = f1.degree, f2.degree
     d = d1 * d2
     p1 = _power_columns(f1, d + 1)
@@ -443,15 +437,17 @@ def _tensor_step(f1: ModPoly, f2: ModPoly, m: int) -> tuple[ModPoly, _FoldStep]:
         raise TensorDependency(
             f"powers of the tensor generator are dependent before degree {d}")
     f = ModPoly(m, [(-c) % m for c in sol[0]] + [1])
-    return f, _FoldStep(cols, (d1, d2))
+    return f, cols
 
 
-def _fold_polynomials(m: int, fs: Sequence[ModPoly]) -> tuple[ModPoly, list[_FoldStep]]:
+def _fold_polynomials(
+    m: int, fs: Sequence[ModPoly]
+) -> tuple[ModPoly, list[list[list[int]]]]:
     cur = fs[0]
-    steps: list[_FoldStep] = []
+    steps = []
     for fj in fs[1:]:
-        cur, step = _tensor_step(cur, fj, m)
-        steps.append(step)
+        cur, cols = _tensor_step(cur, fj, m)
+        steps.append(cols)
     return cur, steps
 
 
@@ -499,33 +495,26 @@ class _PairContext:
         self.g = smallest_primitive_root(self.r)
         self.f = period_polynomial(self.r, self.q, n)
         self.class_of_n = _dlog(self.g, n % self.r, self.r) % self.q
-        self._eta_power_cols: Optional[list[list[int]]] = None
-
-    def _power_basis(self) -> list[list[int]]:
-        if self._eta_power_cols is None:
-            eta = gaussian_period(self.r, self.q, self.n)
-            cols = []
-            cur = CyclotomicElt.one(self.n, self.r)
-            for _ in range(self.q):
-                cols.append(list(cur.coords))
-                cur = cur * eta
-            self._eta_power_cols = cols
-        return self._eta_power_cols
 
     def conjugate_expressions(self, ms: Sequence[int]) -> Optional[list[list[int]]]:
         """Coordinates of tau^m(eta) in the eta-power basis, one per m."""
         eta = gaussian_period(self.r, self.q, self.n)
+        cols = []
+        cur = CyclotomicElt.one(self.n, self.r)
+        for _ in range(self.q):
+            cols.append(list(cur.coords))
+            cur = cur * eta
         targets = [
             list(cyc_apply_aut(eta, CyclotomicAut(self.r, pow(self.g, m % self.q, self.r))).coords)
             for m in ms
         ]
-        return _solve_columns(self._power_basis(), targets, self.n)
+        return _solve_columns(cols, targets, self.n)
 
 
 def _structural_sigma_coords(
     n: int,
     contexts: Sequence[_PairContext],
-    steps: Sequence[_FoldStep],
+    steps: Sequence[list[list[int]]],
     exponents: Sequence[int],
 ) -> Optional[list[list[int]]]:
     """Coordinates of sigma^i(alpha) in the alpha-power basis, one per i.
@@ -537,12 +526,12 @@ def _structural_sigma_coords(
     vecs = first.conjugate_expressions([i * first.class_of_n for i in exponents])
     if vecs is None:
         return None
-    for ctx, step in zip(contexts[1:], steps):
+    for ctx, cols in zip(contexts[1:], steps):
         exprs = ctx.conjugate_expressions([i * ctx.class_of_n for i in exponents])
         if exprs is None:
             return None
         targets = [_kron(v, e, n) for v, e in zip(vecs, exprs)]
-        vecs = _solve_columns(step.cols, targets, n)
+        vecs = _solve_columns(cols, targets, n)
         if vecs is None:
             return None
     return vecs

@@ -9,6 +9,7 @@ from abprime import (
     ModPoly,
     ab_failure_census_mod_N,
     ab_failure_census_mod_p,
+    count_operations,
     factorize_desk,
     heuristic_class_scan,
     mr_nonwitness_census,
@@ -84,8 +85,8 @@ def test_mr_census_plain_fallback_agrees():
     from abprime.intarith import decompose_two_power
     for n in (341, 561, 1105):
         s, t = decompose_two_power(n - 1)
-        assert _count_nonwitnesses_plain(n, s, t, 1, n) == \
-            _count_nonwitnesses_range(n, s, t, 1, n)
+        assert _count_nonwitnesses_plain(n, s, t) == \
+            _count_nonwitnesses_range(n, s, t)
 
 
 def test_mr_census_validation():
@@ -114,12 +115,26 @@ def test_root_count_example():
         root_count_in_extension(15, 5, f)  # x^2+1 splits mod 5
     with pytest.raises(DeskLimitError):
         root_count_in_extension(15, 3, f, limit=8)
+    # against the census's enumeration: n > p^d, p = 2, and exponents whose
+    # reduced form m = (n-1) mod (p^d-1) + 1 leaves g = 2x (n = 6) or g = 0
+    # (n = 15) over F_3
+    for n, p, f, roots in [
+        (5 * (10**6 + 3), 5, ModPoly(5, [1, 1, 0, 1]), 32),
+        (6, 2, ModPoly(2, [1, 1, 1]), 2),
+        (2 * (10**6 + 3), 2, ModPoly(2, [1, 1, 0, 0, 1]), 4),
+        (6, 3, ModPoly(3, [0, 1]), 1),
+        (15, 3, ModPoly(3, [0, 1]), 3),
+    ]:
+        assert root_count_in_extension(n, p, f) == roots, (n, p)
+        assert ab_failure_census_mod_p(n, p, f).failing == roots, (n, p)
 
 
 def test_root_count_prime_everything_is_a_root():
     # for prime N = p the identity holds at every point of the field
     f = ModPoly(7, [1, 0, 1])
     assert root_count_in_extension(7, 7, f) == 49
+    # likewise for any power of p, where g vanishes mod p
+    assert root_count_in_extension(27, 3, ModPoly(3, [1, 2, 0, 1])) == 27
 
 
 def test_ab_census_equals_root_count():
@@ -145,7 +160,10 @@ def test_deg_g_by_lucas_matches_brute_force():
 def test_ab_census_mod_p_341():
     f = ModPoly(341, [1, 0, 1])  # irreducible mod both 11 and 31
     rep = ab_failure_census_mod_p(341, 11, f)
-    assert rep.failing == root_count_in_extension(341, 11, f)
+    with count_operations() as ops:
+        assert rep.failing == root_count_in_extension(341, 11, f)
+    # the gcd count enumerates nothing; the 121 elements would cost 2914
+    assert ops.poly_mults < 100
     assert rep.fraction < Fraction(341, 121)
     assert rep.fraction <= rep.bound
 

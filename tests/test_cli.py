@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from abprime import ModPoly
+from abprime import ModPoly, ab_failure_census_mod_p, count_operations
 from abprime.cli import build_parser, compute_ratio, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -122,6 +122,27 @@ def test_census_ab_p(tmp_path, capsys):
     obj = json.loads(out)
     assert obj["failing"] == 3
     assert obj["total"] == 9
+
+
+def test_census_ab_p_enumerates_once(tmp_path, capsys):
+    poly = tmp_path / "f.poly"
+    f = ModPoly(341, [1, 0, 1])
+    poly.write_text(f.to_line() + "\n")
+    with count_operations() as census_ops:
+        ab_failure_census_mod_p(341, 11, f)
+    with count_operations() as cli_ops:
+        code, _, _ = run(capsys, "census", "ab-p", "341", "11", "--f", str(poly))
+    assert code == 0
+    assert cli_ops.poly_mults < 1.5 * census_ops.poly_mults
+
+
+def test_census_ab_p_root_count_mismatch(tmp_path, capsys, monkeypatch):
+    poly = tmp_path / "f.poly"
+    poly.write_text(ModPoly(15, [1, 0, 1]).to_line() + "\n")
+    monkeypatch.setattr("abprime.cli.root_count_in_extension", lambda n, p, f: 4)
+    code, _, err = run(capsys, "census", "ab-p", "15", "3", "--f", str(poly))
+    assert code == 5
+    assert "root-count mismatch: 3 != 4" in err
 
 
 def test_census_ab_n(tmp_path, capsys):

@@ -178,8 +178,10 @@ def test_unit_classification_examples():
     out = poly_is_unit_mod(P(5, 2), f)
     assert isinstance(out, Unit)
     assert poly_mul_mod(P(5, 2), out.inverse, f) == ModPoly.one(5)
-    assert isinstance(poly_is_unit_mod(ModPoly.x(5), P(5, 0, 0, 1)), NonUnit)
-    assert isinstance(poly_is_unit_mod(ModPoly.zero(5), f), NonUnit)
+    assert poly_is_unit_mod(ModPoly.x(5), P(5, 0, 0, 1)) == NonUnit(ModPoly.x(5))
+    assert poly_is_unit_mod(ModPoly.zero(5), f) == NonUnit(f)
+    # x^2 + 1 = (x - 2)(x - 3) mod 5: the monic gcd with 2x - 4 is x - 2
+    assert poly_is_unit_mod(P(5, 1, 2), f) == NonUnit(P(5, 3, 1))
     # leading coefficient sharing a factor with 15 surfaces that factor
     out = poly_is_unit_mod(P(15, 1, 5), P(15, 1, 1, 1))
     assert out == FactorFound(5)

@@ -50,6 +50,14 @@ def test_miller_rabin_round_341():
     assert miller_rabin_round(341, 1) is True
 
 
+def test_miller_rabin_round_counts_squarings():
+    # mod_pow(a, t, n) plus one multiplication per squaring of the round
+    for n, a, mults in [(341, 2, 11), (97, 5, 6), (561, 5, 11)]:
+        with count_operations() as ops:
+            miller_rabin_round(n, a)
+        assert ops.int_mults == mults, (n, a)
+
+
 def test_miller_rabin_round_complete_on_prime():
     assert all(miller_rabin_round(97, a) for a in range(1, 97))
 
