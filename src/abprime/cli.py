@@ -31,7 +31,6 @@ from .census import (
     mr_nonwitness_census,
     root_count_in_extension,
 )
-from .instrument import count_operations
 from .intarith import floor_log2
 from .polyring import ModPoly, random_poly
 from .primality import (
@@ -65,8 +64,6 @@ class BenchReport:
     n_bits: int
     mr_time_ns: int
     ab_time_ns: int
-    mr_int_mults: int
-    ab_poly_mults: int
     epsilon_log2_mr: Fraction
     epsilon_log2_ab: Fraction
     ratio_mr: Fraction
@@ -223,13 +220,6 @@ def _bench_one(bits: int, c: Fraction, trials: int, seed: int) -> BenchReport:
     lower = random_poly(degree, n, rng.getrandbits(64))
     f = ModPoly(n, list(lower.coeffs) + [0] * (degree - len(lower.coeffs)) + [1])
 
-    # one instrumented (untimed) round for the multiplication counts, so
-    # that no timed call pays for the counter lookups
-    with count_operations() as ops:
-        miller_rabin_round(n, rng.randint(1, n - 1))
-    mr_mults = ops.int_mults
-    ab_mults = 0
-
     mr_ns = 0
     ab_ns = 0
     for _ in range(trials):
@@ -244,11 +234,9 @@ def _bench_one(bits: int, c: Fraction, trials: int, seed: int) -> BenchReport:
         for _ in range(degree):
             miller_rabin_round(n, rng.randint(1, n - 1))
         t_rounds = time.perf_counter_ns() - t0
-        with count_operations() as ops:
-            t0 = time.perf_counter_ns()
-            ab_test(n, f, rng.getrandbits(64))
-            ab_ns += t_rounds + time.perf_counter_ns() - t0
-        ab_mults = max(ab_mults, ops.poly_mults)
+        t0 = time.perf_counter_ns()
+        ab_test(n, f, rng.getrandbits(64))
+        ab_ns += t_rounds + time.perf_counter_ns() - t0
 
     mr_ns //= trials
     ab_ns //= trials
@@ -260,8 +248,6 @@ def _bench_one(bits: int, c: Fraction, trials: int, seed: int) -> BenchReport:
         n_bits=bits,
         mr_time_ns=mr_ns,
         ab_time_ns=ab_ns,
-        mr_int_mults=mr_mults,
-        ab_poly_mults=ab_mults,
         epsilon_log2_mr=eps_mr,
         epsilon_log2_ab=eps_ab,
         ratio_mr=compute_ratio(mr_ns, eps_mr),

@@ -49,18 +49,7 @@ class PeriodSystem:
 
 def is_small_prime(n: int) -> bool:
     """Deterministic trial-division primality (fine for desk-scale n)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    i = 5
-    while i * i <= n:
-        if n % i == 0 or n % (i + 2) == 0:
-            return False
-        i += 6
-    return True
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def multiplicative_order(a: int, r: int) -> int:

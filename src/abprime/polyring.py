@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _KRONECKER_MIN = 48  # combined length below which schoolbook wins
+_KRONECKER_MIN_SHORT = 8  # shorter length below which schoolbook wins
 _NEWTON_MIN_DEGREE = 48
 
 
@@ -224,7 +225,8 @@ def _pack(coeffs: Sequence[int], width: int) -> int:
 def _mul_coeffs(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
     if not a or not b:
         return []
-    if len(a) + len(b) < _KRONECKER_MIN:
+    if (len(a) + len(b) < _KRONECKER_MIN
+            or min(len(a), len(b)) < _KRONECKER_MIN_SHORT):
         return _mul_schoolbook(a, b, m)
     return _mul_kronecker(a, b, m)
 

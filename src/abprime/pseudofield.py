@@ -423,32 +423,41 @@ def _kron(u: Sequence[int], v: Sequence[int], m: int) -> list[int]:
     return out
 
 
-def _tensor_step(f1: ModPoly, f2: ModPoly, m: int) -> tuple[ModPoly, list[list[int]]]:
-    """The folded polynomial, and the new generator's power basis over
-    (prev ⊗ factor): d1*d2 columns of length d1*d2."""
-    d1, d2 = f1.degree, f2.degree
-    d = d1 * d2
-    p1 = _power_columns(f1, d + 1)
-    p2 = _power_columns(f2, d + 1)
-    cols = [_kron(p1[k], p2[k], m) for k in range(d)]
-    target = _kron(p1[d], p2[d], m)
-    sol = _solve_columns(cols, [target], m)
-    if sol is None:
-        raise TensorDependency(
-            f"powers of the tensor generator are dependent before degree {d}")
-    f = ModPoly(m, [(-c) % m for c in sol[0]] + [1])
-    return f, cols
+def _fold(
+    fs: Sequence[ModPoly],
+    exprs: Sequence[Sequence[Sequence[int]]] = (),
+) -> tuple[ModPoly, list[list[int]]]:
+    """Tensor the rings (Z/NZ[x])/(f_j) left to right into the ring of
+    alpha = alpha_0 (x) alpha_1 (x) ...; returns its monic minimal polynomial.
 
-
-def _fold_polynomials(
-    m: int, fs: Sequence[ModPoly]
-) -> tuple[ModPoly, list[list[list[int]]]]:
-    cur = fs[0]
-    steps = []
-    for fj in fs[1:]:
-        cur, cols = _tensor_step(cur, fj, m)
-        steps.append(cols)
-    return cur, steps
+    Each pairwise step writes the powers of the new generator on the product
+    basis and makes one _solve_columns call; a non-invertible pivot raises
+    _FactorHit, dependent powers raise TensorDependency.  exprs[j] holds
+    coordinate vectors on f_j's power basis; their factor-by-factor tensor
+    products ride in each step's call as extra targets and come back as
+    coordinates on alpha's power basis (empty without exprs).  Pivots depend
+    on the columns only, so exprs cannot make a successful fold fail.  The
+    steps stay pairwise: one elimination over all factors meets other pivots
+    and, on composite N, surfaces other divisors.
+    """
+    m = fs[0].modulus
+    f = fs[0]
+    vecs = list(exprs[0]) if exprs else []
+    for j in range(1, len(fs)):
+        d = f.degree * fs[j].degree
+        p1 = _power_columns(f, d + 1)
+        p2 = _power_columns(fs[j], d + 1)
+        cols = [_kron(p1[k], p2[k], m) for k in range(d)]
+        targets = [_kron(p1[d], p2[d], m)]
+        if exprs:
+            targets += [_kron(v, e, m) for v, e in zip(vecs, exprs[j])]
+        sol = _solve_columns(cols, targets, m)
+        if sol is None:
+            raise TensorDependency(
+                f"powers of the tensor generator are dependent before degree {d}")
+        f = ModPoly(m, [(-c) % m for c in sol[0]] + [1])
+        vecs = sol[1:]
+    return f, vecs
 
 
 def tensor_product(a1: Pseudofield, a2: Pseudofield) -> Union[Pseudofield, FactorFound]:
@@ -470,7 +479,7 @@ def tensor_product(a1: Pseudofield, a2: Pseudofield) -> Union[Pseudofield, Facto
     if n <= a1.degree * a2.degree:
         raise ValueError("need N > d1*d2")
     try:
-        f, _ = _tensor_step(a1.f, a2.f, n)
+        f, _ = _fold([a1.f, a2.f])
     except _FactorHit as hit:
         return FactorFound(hit.divisor)
     system = None
@@ -486,55 +495,26 @@ def tensor_product(a1: Pseudofield, a2: Pseudofield) -> Union[Pseudofield, Facto
 
 # -- structural sigma machinery ---------------------------------------------
 
-class _PairContext:
-    """Per-pair data for the cyclotomic realization of sigma."""
-
-    def __init__(self, n: int, pair: PeriodPair):
-        self.r, self.q = pair.r, pair.q
-        self.n = n
-        self.g = smallest_primitive_root(self.r)
-        self.f = period_polynomial(self.r, self.q, n)
-        self.class_of_n = _dlog(self.g, n % self.r, self.r) % self.q
-
-    def conjugate_expressions(self, ms: Sequence[int]) -> Optional[list[list[int]]]:
-        """Coordinates of tau^m(eta) in the eta-power basis, one per m."""
-        eta = gaussian_period(self.r, self.q, self.n)
-        cols = []
-        cur = CyclotomicElt.one(self.n, self.r)
-        for _ in range(self.q):
-            cols.append(list(cur.coords))
-            cur = cur * eta
-        targets = [
-            list(cyc_apply_aut(eta, CyclotomicAut(self.r, pow(self.g, m % self.q, self.r))).coords)
-            for m in ms
-        ]
-        return _solve_columns(cols, targets, self.n)
+def _coset_class(a: int, pair: PeriodPair) -> int:
+    """The class of a in (Z/rZ)^x modulo q-th powers, as the exponent c with
+    a = g^c times a q-th power, g the smallest primitive root mod r: the
+    automorphism zeta -> zeta^a shifts the period conjugates by tau^c."""
+    r = pair.r
+    return _dlog(smallest_primitive_root(r), a % r, r) % pair.q
 
 
-def _structural_sigma_coords(
-    n: int,
-    contexts: Sequence[_PairContext],
-    steps: Sequence[list[list[int]]],
-    exponents: Sequence[int],
+def _shifted_periods(
+    n: int, pair: PeriodPair, shifts: Sequence[int]
 ) -> Optional[list[list[int]]]:
-    """Coordinates of sigma^i(alpha) in the alpha-power basis, one per i.
-
-    sigma acts on each factor as the coset shift tau^(class of N); the
-    per-factor conjugates are folded through the tensor steps.
-    """
-    first = contexts[0]
-    vecs = first.conjugate_expressions([i * first.class_of_n for i in exponents])
-    if vecs is None:
-        return None
-    for ctx, cols in zip(contexts[1:], steps):
-        exprs = ctx.conjugate_expressions([i * ctx.class_of_n for i in exponents])
-        if exprs is None:
-            return None
-        targets = [_kron(v, e, n) for v, e in zip(vecs, exprs)]
-        vecs = _solve_columns(cols, targets, n)
-        if vecs is None:
-            return None
-    return vecs
+    """Coordinates of tau^s(eta) on the basis 1, eta, ..., eta^(q-1) of the
+    pair's ring over Z/nZ, one per s in shifts; None when the powers of eta
+    do not span them (a non-invertible pivot raises _FactorHit)."""
+    conjs = period_conjugates(pair.r, pair.q, n)
+    powers = [CyclotomicElt.one(n, pair.r)]
+    for _ in range(pair.q - 1):
+        powers.append(powers[-1] * conjs[0])
+    return _solve_columns([list(e.coords) for e in powers],
+                          [list(conjs[s % pair.q].coords) for s in shifts], n)
 
 
 def _report_from_checks(
@@ -573,20 +553,35 @@ def verify_axioms(a: Pseudofield) -> AxiomReport:
 
 
 def _verify_structural(a: Pseudofield) -> Optional[AxiomReport]:
+    """sigma-powers of alpha through the period system, or None when the
+    system cannot realize sigma on a.f.
+
+    sigma^i shifts each pair's periods by tau^(i * class of N); those
+    shifts are tensored through the same fold that builds f.  The fold of
+    the pairs' period polynomials is first compared with a.f, and only
+    then is sigma expressed pair by pair: expressing sigma inverts pivots
+    of its own, and on an f the pairs do not define, a divisor or a
+    dependency met there would replace the power chain's verdict on the
+    ring actually given.
+    """
     n, d = a.modulus, a.degree
-    contexts = [_PairContext(n, pair)
-                for pair in sorted(a.system.pairs, key=lambda p: p.q)]
+    pairs = sorted(a.system.pairs, key=lambda p: p.q)
+    fs = [period_polynomial(pair.r, pair.q, n) for pair in pairs]
     try:
-        f_re, steps = _fold_polynomials(n, [ctx.f for ctx in contexts])
+        if _fold(fs)[0] != a.f:
+            return None  # provenance does not match f; use the power chain
     except TensorDependency:
         return None
-    if f_re != a.f:
-        return None  # provenance does not match f; use the power chain
-    primes = sorted({ctx.q for ctx in contexts})
+    primes = sorted({pair.q for pair in pairs})
     exponents = [d] + [d // l for l in primes]
-    vecs = _structural_sigma_coords(n, contexts, steps, exponents)
-    if vecs is None:
-        return None
+    exprs = []
+    for pair in pairs:
+        c = _coset_class(n, pair)
+        shifted = _shifted_periods(n, pair, [i * c for i in exponents])
+        if shifted is None:
+            return None
+        exprs.append(shifted)
+    _, vecs = _fold(fs, exprs)  # same pivots as the fold above: cannot fail
     x = _x_residue(a.f)
     identity = ModPoly(n, vecs[0]) == x
     checks: list[tuple[int, UnitOutcome]] = []
@@ -649,17 +644,14 @@ def _pair_frobenius_index(n: int, pair: PeriodPair, p: int) -> int:
     r, q = pair.r, pair.q
     if p % r == 0:
         raise ValueError(f"p = {p} ramifies in the r = {r} cyclotomic ring")
-    g = smallest_primitive_root(r)
-    class_n = _dlog(g, n % r, r) % q
-    class_p = _dlog(g, p % r, r) % q
+    class_n = _coset_class(n, pair)
+    class_p = _coset_class(p, pair)
     if class_n == 0:
         raise ValueError(f"({r}, {q}) is not a period pair for {n}")
     i_j = class_p * pow(class_n, -1, q) % q
     # sanity: Frobenius must shift the periods by the class of p
-    eta = gaussian_period(r, q, p)
-    frob = eta.pow(p)
-    shifted = cyc_apply_aut(eta, CyclotomicAut(r, pow(g, class_p, r)))
-    if frob != shifted:
+    conjs = period_conjugates(r, q, p)
+    if conjs[0].pow(p) != conjs[class_p]:
         raise ValueError(
             f"Frobenius consistency check failed mod {p} for pair ({r}, {q})")
     return i_j
@@ -718,7 +710,7 @@ def construct_poly_pipeline(
         return None
     try:
         fs = [period_polynomial(pair.r, pair.q, n) for pair in system.pairs]
-        f, _ = _fold_polynomials(n, fs)
+        f, _ = _fold(fs)
     except _FactorHit as hit:
         return FactorFound(hit.divisor)
     if not degree_target <= f.degree < 2 * degree_target:

@@ -14,7 +14,12 @@ from abprime import (
     poly_pow_mod,
     random_poly,
 )
-from abprime.polyring import _mul_kronecker, _mul_schoolbook, _reducer_for
+from abprime.polyring import (
+    _mul_coeffs,
+    _mul_kronecker,
+    _mul_schoolbook,
+    _reducer_for,
+)
 
 
 def P(m, *coeffs):
@@ -123,6 +128,16 @@ def test_multiplication_paths_agree():
         a = [rng.randrange(m) for _ in range(la)]
         b = [rng.randrange(m) for _ in range(lb)]
         assert _mul_schoolbook(a, b, m) == _mul_kronecker(a, b, m)
+    # unbalanced shapes, which _mul_coeffs sends to schoolbook by the
+    # shorter operand's length
+    for _ in range(40):
+        m = rng.randint(2, 2**128)
+        a = [rng.randrange(m) for _ in range(rng.randint(1, 7))]
+        b = [rng.randrange(m) for _ in range(rng.randint(41, 300))]
+        if rng.random() < 0.5:
+            a, b = b, a
+        assert _mul_schoolbook(a, b, m) == _mul_kronecker(a, b, m) \
+            == _mul_coeffs(a, b, m)
 
 
 def test_reduction_paths_agree():

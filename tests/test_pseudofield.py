@@ -25,6 +25,7 @@ from abprime import (
 )
 from abprime.pseudofield import (
     _verify_power_chain,
+    _verify_structural,
     period_conjugates,
     smallest_primitive_root,
 )
@@ -295,6 +296,13 @@ def test_verify_axioms_mismatched_provenance_falls_back():
     sys_wrong = PeriodSystem((PeriodPair(5, 2),), 2)
     a = Pseudofield(7, ModPoly(7, [1, 0, 1]), 2, sys_wrong)  # f is not f_{5,2}
     assert verify_axioms(a).verdict == "verified"  # x^2+1 over F_7 is fine
+    # the provenance check comes before sigma is expressed: expressing it
+    # for (31, 5) over 55 first would surface the divisor 5 instead
+    f = ModPoly(55, [13, 9, 46, 4, 16, 1])
+    a = Pseudofield(55, f, 5, PeriodSystem((PeriodPair(31, 5),), 5))
+    report = verify_axioms(a)
+    assert report.verdict == "refuted"
+    assert report == _verify_power_chain(55, f, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +411,21 @@ def test_construct_pipeline_prime_degree15():
     assert 15 <= result.f.degree < 30
     assert is_irreducible_mod_p(result.f, 97)
     assert verify_axioms(result.pseudofield).verdict == "verified"
+
+
+def test_construct_pipeline_three_pairs():
+    # sigma is carried through two fold steps only with three pairs
+    result = construct_poly_pipeline(101, 30)
+    assert isinstance(result, Constructed)
+    pairs = [PeriodPair(3, 2), PeriodPair(7, 3), PeriodPair(11, 5)]
+    assert list(result.system.pairs) == pairs
+    a1, a2, a3 = (pseudofield_from_period_pair(101, p) for p in pairs)
+    chained = tensor_product(tensor_product(a1, a2), a3)
+    assert chained.f == result.f and chained.system == result.system
+    # for prime N the cyclotomic sigma is x -> x^N: same report, same inverses
+    structural = _verify_structural(result.pseudofield)
+    assert structural is not None and structural.verdict == "verified"
+    assert structural == verify_axioms(Pseudofield(101, result.f, 30))
 
 
 def test_construct_pipeline_341():
