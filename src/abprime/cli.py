@@ -32,7 +32,7 @@ from .census import (
     root_count_in_extension,
 )
 from .intarith import floor_log2
-from .polyring import ModPoly, random_poly
+from .polyring import ModPoly
 from .primality import (
     ABPolynomial,
     ConstructionFailure,
@@ -40,6 +40,7 @@ from .primality import (
     MRWitness,
     PipelineConfig,
     Verdict,
+    _random_monic,
     ab_test,
     full_pipeline,
     miller_rabin_round,
@@ -136,9 +137,6 @@ def _cmd_isprime(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    if args.n <= 2 * args.degree_target:
-        print(f"error: need N > 2D = {2 * args.degree_target}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         result = construct_poly_pipeline(args.n, args.degree_target)
     except TensorDependency as exc:
@@ -217,8 +215,7 @@ def _bench_one(bits: int, c: Fraction, trials: int, seed: int) -> BenchReport:
     n = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
     config = PipelineConfig(c=c)
     degree = target_degree(n, config)
-    lower = random_poly(degree, n, rng.getrandbits(64))
-    f = ModPoly(n, list(lower.coeffs) + [0] * (degree - len(lower.coeffs)) + [1])
+    f = _random_monic(n, degree, rng)
 
     mr_ns = 0
     ab_ns = 0

@@ -7,10 +7,13 @@ monic modulus, so no coefficient divisions are needed and the arithmetic is
 valid over Z/NZ for composite N.
 
 Multiplication has a schoolbook path and a Kronecker-substitution path that
-packs coefficients into one big integer (gmpy2 when available); reduction by
-a monic f likewise has a schoolbook path and a Newton-reciprocal path for
-large degrees.  The paths agree coefficient for coefficient; thresholds are
-tuning constants only.
+packs coefficients into one big integer (gmpy2 when available); schoolbook
+runs when the shorter operand has fewer than _KRONECKER_MIN coefficients.
+Reduction by a monic f has a schoolbook path and a Newton-reciprocal path
+for large degrees.  The schoolbook division runs in place and leaves the
+quotient above the remainder, so Euclid in poly_is_unit_mod uses the same
+loop.  The paths agree coefficient for coefficient; thresholds are tuning
+constants only.
 
 Text serialization is a single line ``N; c0,c1,...,cd`` with decimal
 integers, index = degree.
@@ -41,8 +44,7 @@ __all__ = [
     "poly_is_unit_mod",
 ]
 
-_KRONECKER_MIN = 48  # combined length below which schoolbook wins
-_KRONECKER_MIN_SHORT = 8  # shorter length below which schoolbook wins
+_KRONECKER_MIN = 10  # shorter length below which schoolbook wins
 _NEWTON_MIN_DEGREE = 48
 
 
@@ -207,41 +209,34 @@ def _mul_kronecker(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
     prod = int(_mpz(pa) * _mpz(pb))
     n = len(a) + len(b) - 1
     raw = prod.to_bytes(width * (n + 1), "little")
-    return [
-        int.from_bytes(raw[i * width:(i + 1) * width], "little") % m
-        for i in range(n)
-    ]
+    return [int.from_bytes(raw[i:i + width], "little") % m
+            for i in range(0, width * n, width)]
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
-    buf = bytearray(width * len(coeffs))
-    for i, c in enumerate(coeffs):
-        if c:
-            nb = (c.bit_length() + 7) // 8
-            buf[i * width:i * width + nb] = c.to_bytes(nb, "little")
-    return int.from_bytes(bytes(buf), "little")
+    return int.from_bytes(
+        b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
 
 
 def _mul_coeffs(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
     if not a or not b:
         return []
-    if (len(a) + len(b) < _KRONECKER_MIN
-            or min(len(a), len(b)) < _KRONECKER_MIN_SHORT):
+    # the shorter operand decides; two plain tests beat min() on tiny products
+    if len(a) < _KRONECKER_MIN or len(b) < _KRONECKER_MIN:
         return _mul_schoolbook(a, b, m)
     return _mul_kronecker(a, b, m)
 
 
-def _reduce_schoolbook(c: list[int], f: Sequence[int], m: int) -> list[int]:
+def _divmod_schoolbook(c: list[int], f: Sequence[int], m: int) -> None:
+    """Divide c by the monic f in place: afterwards c[:deg f] holds the
+    remainder and c[deg f:] the quotient, constant term first."""
     d = len(f) - 1
     for i in range(len(c) - 1, d - 1, -1):
         t = c[i]
         if t:
-            c[i] = 0
             for j in range(d):
                 if f[j]:
                     c[i - d + j] = (c[i - d + j] - t * f[j]) % m
-    del c[d:]
-    return c
 
 
 class _Reducer:
@@ -257,7 +252,9 @@ class _Reducer:
         if len(c) <= self.d:
             return c
         if self.d < _NEWTON_MIN_DEGREE:
-            return _reduce_schoolbook(c, self.f, self.m)
+            _divmod_schoolbook(c, self.f, self.m)
+            del c[self.d:]
+            return c
         return self._reduce_newton(c)
 
     def _reciprocal(self, k: int) -> list[int]:
@@ -383,22 +380,9 @@ def poly_is_unit_mod(u: ModPoly, f: ModPoly) -> UnitOutcome:
         if r1.degree == 0:
             return Unit(ModPoly(m, _reducer_for(f).reduce(list(s1.coeffs))))
         # long-divide r0 by the now monic r1, updating the s-track alongside
-        q, rem = _divmod_monic(r0, r1)
-        r0, s0, r1, s1 = r1, s1, rem, s0 - ModPoly(m, _mul_coeffs(q, s1.coeffs, m))
+        c, db = list(r0.coeffs), r1.degree
+        _divmod_schoolbook(c, r1.coeffs, m)
+        r0, s0, r1, s1 = (r1, s1, ModPoly(m, c[:db]),
+                          s0 - ModPoly(m, _mul_coeffs(c[db:], s1.coeffs, m)))
         if r1.is_zero():
             return NonUnit(r0)
-
-
-def _divmod_monic(a: ModPoly, b: ModPoly) -> tuple[list[int], ModPoly]:
-    """Quotient coefficients and remainder of a by the monic b."""
-    m, db = a.modulus, b.degree
-    rem = list(a.coeffs)
-    q = [0] * max(0, a.degree - db + 1)
-    for i in range(a.degree, db - 1, -1):
-        t = rem[i]
-        if t:
-            q[i - db] = t
-            for j, bj in enumerate(b.coeffs):
-                if bj:
-                    rem[i - db + j] = (rem[i - db + j] - t * bj) % m
-    return q, ModPoly(m, rem[:db])

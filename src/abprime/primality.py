@@ -222,6 +222,12 @@ def target_degree(n: int, config: PipelineConfig) -> int:
     return max(2, math.ceil(floor_log2(n) ** float(config.c)))
 
 
+def _random_monic(n: int, degree: int, rng: random.Random) -> ModPoly:
+    """x^degree plus a uniformly random lower part, seeded by one 64-bit draw
+    from rng."""
+    return random_poly(degree, n, rng.getrandbits(64)) + ModPoly(n, [0] * degree + [1])
+
+
 def full_pipeline(n: int, config: PipelineConfig, seed: int) -> Verdict:
     """Construct a defining polynomial for n, then run the combined test.
 
@@ -264,8 +270,7 @@ def full_pipeline(n: int, config: PipelineConfig, seed: int) -> Verdict:
             Outcome.UNKNOWN,
             ConstructionFailure(note + f"; fallback degree {d_target} >= n"),
             seed, 0)
-    lower = random_poly(d_target, n, rng.getrandbits(64))
-    f = ModPoly(n, list(lower.coeffs) + [0] * (d_target - len(lower.coeffs)) + [1])
+    f = _random_monic(n, d_target, rng)
     inner = combined_test(n, f, rng.getrandbits(64))
     if inner.outcome is Outcome.PRIME:
         # the guarantee that needs a constructed f is gone; say so

@@ -682,8 +682,7 @@ def is_irreducible_mod_p(f: ModPoly, p: int) -> bool:
     d = fp.degree
     if d < 1 or not fp.is_monic():
         raise ValueError("f must stay monic of degree >= 1 mod p")
-    identity, diffs = _rabin_chain(fp, p, d)
-    return identity and all(isinstance(poly_is_unit_mod(u, fp), Unit) for _, u in diffs)
+    return _verify_power_chain(p, fp, d).verdict == "verified"
 
 
 def construct_poly_pipeline(

@@ -84,9 +84,10 @@ def test_construct_composite(tmp_path, capsys):
 
 
 def test_construct_size_guard(tmp_path, capsys):
-    code, _, _ = run(capsys, "construct", "9", "--D", "5",
-                     "--out", str(tmp_path / "f.poly"))
+    code, _, err = run(capsys, "construct", "9", "--D", "5",
+                       "--out", str(tmp_path / "f.poly"))
     assert code == 64
+    assert "need N > 2D" in err
 
 
 def test_construct_not_found(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abprime import (
     FactorFound,
@@ -15,6 +17,9 @@ from abprime import (
     random_poly,
 )
 from abprime.polyring import (
+    _KRONECKER_MIN,
+    _NEWTON_MIN_DEGREE,
+    _divmod_schoolbook,
     _mul_coeffs,
     _mul_kronecker,
     _mul_schoolbook,
@@ -160,6 +165,90 @@ def test_reduction_paths_agree():
                     school[i - dd + j] = (school[i - dd + j] - t * fl[j]) % m
         assert poly_mul_mod(a, b, f) == ModPoly(m, school[:dd])
         _reducer_for.cache_clear()
+
+
+# -- property tests of the coefficient kernels -------------------------------
+
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
+_MODULI = st.one_of(st.sampled_from([2, 15, 341, 97, 2**61 - 1]),
+                    st.integers(2, 2**256))
+
+
+def _vector(rnd, m, size):
+    # the extreme coefficients 0 and m - 1 are drawn often, not by luck
+    return [rnd.choice((0, m - 1)) if rnd.random() < 0.25 else rnd.randrange(m)
+            for _ in range(size)]
+
+
+@st.composite
+def _mul_operands(draw):
+    # the shorter length straddles _KRONECKER_MIN; the longer one is either
+    # equal (balanced) or anything up to 300
+    m, rnd = draw(_MODULI), draw(st.randoms(use_true_random=False))
+    short = draw(st.integers(1, 2 * _KRONECKER_MIN))
+    long = draw(st.one_of(st.just(short), st.integers(short, 300)))
+    a, b = _vector(rnd, m, short), _vector(rnd, m, long)
+    return (m, b, a) if draw(st.booleans()) else (m, a, b)
+
+
+@st.composite
+def _division_operands(draw):
+    m, rnd = draw(_MODULI), draw(st.randoms(use_true_random=False))
+    d = draw(st.integers(1, 60))
+    size = draw(st.integers(d, 2 * d + 40))
+    return m, _vector(rnd, m, size), _vector(rnd, m, d) + [1]
+
+
+@st.composite
+def _ring_operands(draw):
+    # deg f on both sides of _NEWTON_MIN_DEGREE
+    m, rnd = draw(_MODULI), draw(st.randoms(use_true_random=False))
+    d = draw(st.integers(1, _NEWTON_MIN_DEGREE + 40))
+    a = _vector(rnd, m, draw(st.integers(0, d)))
+    b = _vector(rnd, m, draw(st.integers(0, d)))
+    return m, a, b, _vector(rnd, m, d) + [1]
+
+
+def _schoolbook_remainder(c, f, m):
+    c, d = list(c), len(f) - 1
+    for i in range(len(c) - 1, d - 1, -1):
+        t, c[i] = c[i], 0
+        for j in range(d):
+            c[i - d + j] = (c[i - d + j] - t * f[j]) % m
+    return c[:d]
+
+
+@_PROPERTY
+@given(_mul_operands())
+def test_mul_kernels_agree_property(operands):
+    m, a, b = operands
+    assert _mul_schoolbook(a, b, m) == _mul_kronecker(a, b, m) \
+        == _mul_coeffs(a, b, m)
+
+
+@_PROPERTY
+@given(_division_operands())
+def test_divmod_schoolbook_property(operands):
+    m, c, f = operands
+    d = len(f) - 1
+    out = list(c)
+    _divmod_schoolbook(out, f, m)
+    r, q = out[:d], out[d:]
+    assert len(r) == d
+    assert all(0 <= v < m for v in out)
+    qf = _mul_schoolbook(q, f, m) if q else [0] * len(c)
+    padded = r + [0] * (len(c) - d)
+    assert [(u + v) % m for u, v in zip(qf, padded)] == c
+
+
+@_PROPERTY
+@given(_ring_operands())
+def test_mul_mod_matches_schoolbook_remainder_property(operands):
+    m, a, b, f = operands
+    expected = _schoolbook_remainder(
+        _mul_schoolbook(a, b, m) if a and b else [], f, m)
+    got = poly_mul_mod(ModPoly(m, a), ModPoly(m, b), ModPoly(m, f))
+    assert got == ModPoly(m, expected)
 
 
 def test_random_poly_determinism_and_support():
