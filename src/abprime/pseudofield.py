@@ -6,8 +6,17 @@ zeta^(r-1) is always eliminated through 1 + zeta + ... + zeta^(r-1) = 0, so
 an element is a constant exactly when all higher coordinates vanish.  The
 Gaussian period eta_{r,q} is the sum of zeta^i over the index-q subgroup of
 (Z/rZ)^x, and the period polynomial f_{r,q} is the monic degree-q product
-of (x - tau eta) over the q cosets; its coefficients provably collapse to
-constants, and that collapse is asserted, never assumed.
+of (x - tau eta) over the q cosets.
+
+f_{r,q} has integer coefficients that do not depend on N, so it is built
+over Z: in F_P for enough primes P = 1 (mod r), where the periods are plain
+residues, then combined by CRT and reduced mod N.  That f(eta) = 0 in
+(Z/NZ)[zeta_r] is asserted once per call, never assumed.  A period system's
+defining polynomial, the composed product of (x - alpha_i beta_j ...) over
+the roots of its period polynomials, is likewise built over Z, from power
+sums: p_k of the product is the product of the factors' p_k, and Newton's
+identities convert in both directions with divisions that are asserted
+exact.
 
 A Pseudofield packages (N, f, deg f) for a monic f; its generator alpha is
 the residue of x and its distinguished endomorphism sigma is determined by
@@ -27,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .intarith import FactorFound, factorize, try_invert
@@ -40,6 +50,7 @@ from .periodsys import (
 )
 from .polyring import (
     ModPoly,
+    NonUnit,
     Unit,
     UnitOutcome,
     _mul_coeffs,
@@ -70,7 +81,8 @@ __all__ = [
 
 
 class TensorDependency(Exception):
-    """Tensor powers became linearly dependent early without exposing a factor.
+    """Tensor powers became linearly dependent early without exposing a factor
+    (in construction: the composed product is not squarefree mod N).
 
     This means the input rings were not genuine coprime-degree pseudofields;
     it is reported distinctly because no divisor of N is learned from it.
@@ -246,11 +258,16 @@ def _check_pair_args(r: int, q: int, n: int) -> None:
         raise ValueError(f"q must be a prime divisor of r-1, got q={q}")
 
 
+def _qth_powers(r: int, q: int) -> list[int]:
+    """The q-th power residues mod r: the exponents i of zeta^i in eta."""
+    return sorted({pow(x, q, r) for x in range(1, r)})
+
+
 def gaussian_period(r: int, q: int, n: int) -> CyclotomicElt:
     """The period eta_{r,q}: sum of zeta^i over the q-th power residues mod r."""
     _check_pair_args(r, q, n)
     slots = [0] * r
-    for i in {pow(x, q, r) for x in range(1, r)}:
+    for i in _qth_powers(r, q):
         slots[i] = 1
     return CyclotomicElt.from_slots(n, r, slots)
 
@@ -264,30 +281,119 @@ def period_conjugates(r: int, q: int, n: int) -> list[CyclotomicElt]:
     return [cyc_apply_aut(eta, CyclotomicAut(r, pow(g, m, r))) for m in range(q)]
 
 
+# ---------------------------------------------------------------------------
+# period polynomials and composed products over Z
+# ---------------------------------------------------------------------------
+
 def period_polynomial(r: int, q: int, n: int) -> ModPoly:
     """The monic degree-q polynomial with the conjugate periods as roots.
 
-    The product is expanded inside (Z/NZ)[zeta_r]; every coefficient must
-    collapse to a constant, and a nonzero zeta-part is a hard internal
-    error, not a recoverable condition.
+    Built over Z by CRT over primes P = 1 (mod r) and reduced mod N; that
+    it vanishes at eta in (Z/NZ)[zeta_r] is asserted, and a failure is a
+    hard internal error (RuntimeError), not a recoverable condition.
     """
-    conjs = period_conjugates(r, q, n)
-    coeffs = [CyclotomicElt.one(n, r)]
-    for eta in conjs:
-        shifted = [CyclotomicElt.zero(n, r)] + coeffs
-        coeffs = [s - c * eta for s, c in
-                  zip(shifted, coeffs + [CyclotomicElt.zero(n, r)])]
-    consts = []
-    for c in coeffs:
-        if not c.is_constant():
-            raise RuntimeError(
-                f"period polynomial coefficient failed to collapse for "
-                f"(r={r}, q={q}, N={n}): {c!r}")
-        consts.append(c.constant_value())
-    f = ModPoly(n, consts)
-    if f.degree != q or not f.is_monic():
-        raise RuntimeError(f"period polynomial malformed for (r={r}, q={q}, N={n})")
-    return f
+    return ModPoly(n, _period_polynomial_over_z(r, q, n))
+
+
+def _period_polynomial_mod_prime(
+    r: int, p: int, cosets: Sequence[Sequence[int]]
+) -> list[int]:
+    """prod (x - eta_m) over F_p, p = 1 (mod r), constant term first.
+
+    zeta = h^((p-1)/r) for the least h giving zeta != 1 is a primitive r-th
+    root of unity, eta_m sums zeta^i over cosets[m], and the q linear
+    factors are multiplied pairwise up a product tree.
+    """
+    h = 2
+    while (zeta := pow(h, (p - 1) // r, p)) == 1:
+        h += 1
+    zeta_pows = [1] * r
+    for i in range(1, r):
+        zeta_pows[i] = zeta_pows[i - 1] * zeta % p
+    factors = [[-sum(zeta_pows[i] for i in coset) % p, 1] for coset in cosets]
+    while len(factors) > 1:
+        paired = [_mul_coeffs(a, b, p) for a, b in zip(factors[::2], factors[1::2])]
+        factors = paired + factors[2 * len(paired):]
+    return factors[0]
+
+
+def _period_polynomial_over_z(r: int, q: int, n: int) -> list[int]:
+    """f_{r,q} over Z, constant term first, asserted to vanish at eta in
+    (Z/nZ)[zeta_r].
+
+    Each period sums (r-1)/q roots of unity, so |e_j| <= C(q, j) ((r-1)/q)^j.
+    The residues mod primes P = 1 (mod r) above 2^24, certified by
+    is_small_prime, are combined by CRT until the product of the primes
+    exceeds twice that bound, then lifted to symmetric representatives.
+    """
+    _check_pair_args(r, q, n)
+    residues = _qth_powers(r, q)
+    g = smallest_primitive_root(r)
+    cosets = [[i * pow(g, m, r) % r for i in residues] for m in range(q)]
+    bound = max(math.comb(q, j) * len(residues) ** j for j in range(q + 1))
+    coeffs, modulus = [0] * (q + 1), 1
+    p = (1 << 24) // r * r + 1
+    while modulus <= 2 * bound:
+        p += r
+        if not is_small_prime(p):
+            continue
+        t = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((v - c) * t % p) for c, v in
+                  zip(coeffs, _period_polynomial_mod_prime(r, p, cosets))]
+        modulus *= p
+    coeffs = [c - modulus if 2 * c > modulus else c for c in coeffs]
+    _check_period_root(r, q, n, coeffs)
+    return coeffs
+
+
+def _check_period_root(r: int, q: int, n: int, coeffs: Sequence[int]) -> None:
+    """Raise RuntimeError unless f(eta) = 0 in (Z/nZ)[zeta_r].
+
+    Horner runs on slot vectors modulo x^r - 1, where multiplying by eta
+    sums the rotations by its exponents; an element vanishes modulo Phi_r
+    exactly when all its slots are equal.
+    """
+    shifts = _qth_powers(r, q)
+    acc = [0] * r
+    for c in reversed(coeffs):
+        acc = [s % n for s in map(sum, zip(*[acc[-h:] + acc[:-h] for h in shifts]))]
+        acc[0] = (acc[0] + c) % n
+    if len(set(acc)) != 1:
+        raise RuntimeError(
+            f"period polynomial does not vanish at eta for (r={r}, q={q}, N={n})")
+
+
+def _power_sums(coeffs: Sequence[int], count: int) -> list[int]:
+    """p_k, k = 1..count (p[0] is unused), of the roots of the monic integer
+    polynomial coeffs (constant term first), by Newton's identities."""
+    q = len(coeffs) - 1
+    a = coeffs[::-1]  # a[i] is the coefficient of x^(q-i)
+    p = [0] * (count + 1)
+    for k in range(1, count + 1):
+        m = min(k - 1, q)
+        s = sum(map(mul, a[1:m + 1], reversed(p[k - m:k])))
+        p[k] = -s - k * a[k] if k <= q else -s
+    return p
+
+
+def _composed_product(polys: Sequence[Sequence[int]]) -> list[int]:
+    """The monic integer polynomial whose roots are the products of one root
+    of each monic integer polynomial in polys (constant terms first).
+
+    Its power sums are the products of theirs, and Newton's identities give
+    back its coefficients; each division by k is asserted exact.
+    """
+    if len(polys) == 1:
+        return list(polys[0])
+    d = math.prod(len(c) - 1 for c in polys)
+    sums = [math.prod(col) for col in zip(*(_power_sums(c, d) for c in polys))]
+    b = [1]  # b[k] is the coefficient of x^(d-k)
+    for k in range(1, d + 1):
+        b_k, rem = divmod(-sum(map(mul, b, reversed(sums[1:k + 1]))), k)
+        if rem:
+            raise RuntimeError(f"Newton's identities left a remainder at k = {k}")
+        b.append(b_k)
+    return b[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -557,21 +663,18 @@ def _verify_structural(a: Pseudofield) -> Optional[AxiomReport]:
     system cannot realize sigma on a.f.
 
     sigma^i shifts each pair's periods by tau^(i * class of N); those
-    shifts are tensored through the same fold that builds f.  The fold of
-    the pairs' period polynomials is first compared with a.f, and only
-    then is sigma expressed pair by pair: expressing sigma inverts pivots
-    of its own, and on an f the pairs do not define, a divisor or a
-    dependency met there would replace the power chain's verdict on the
-    ring actually given.
+    shifts are tensored through the fold of the pairs' period polynomials.
+    The composed product of those polynomials, built over Z, is first
+    compared with a.f, and only then is sigma expressed pair by pair:
+    expressing sigma inverts pivots of its own, and on an f the pairs do
+    not define, a divisor or a dependency met there would replace the power
+    chain's verdict on the ring actually given.
     """
     n, d = a.modulus, a.degree
     pairs = sorted(a.system.pairs, key=lambda p: p.q)
-    fs = [period_polynomial(pair.r, pair.q, n) for pair in pairs]
-    try:
-        if _fold(fs)[0] != a.f:
-            return None  # provenance does not match f; use the power chain
-    except TensorDependency:
-        return None
+    polys = [_period_polynomial_over_z(pair.r, pair.q, n) for pair in pairs]
+    if ModPoly(n, _composed_product(polys)) != a.f:
+        return None  # provenance does not match f; use the power chain
     primes = sorted({pair.q for pair in pairs})
     exponents = [d] + [d // l for l in primes]
     exprs = []
@@ -581,7 +684,10 @@ def _verify_structural(a: Pseudofield) -> Optional[AxiomReport]:
         if shifted is None:
             return None
         exprs.append(shifted)
-    _, vecs = _fold(fs, exprs)  # same pivots as the fold above: cannot fail
+    try:
+        _, vecs = _fold([ModPoly(n, c) for c in polys], exprs)
+    except TensorDependency:
+        return None
     x = _x_residue(a.f)
     identity = ModPoly(n, vecs[0]) == x
     checks: list[tuple[int, UnitOutcome]] = []
@@ -692,13 +798,16 @@ def construct_poly_pipeline(
     r_limit: Optional[int] = None,
     q_limit: Optional[int] = None,
 ) -> Union[Constructed, FactorFound, None]:
-    """Find a period system for n and tensor its period-pair pseudofields.
+    """Find a period system for n and build its defining polynomial.
 
-    Returns Constructed(f, ...) with deg f in [D, 2D) on success,
-    FactorFound(d) if a divisor of n surfaces during elimination, and None
-    when no period system of the target degree exists at this scale.
-    TensorDependency propagates: it is a distinct failure that neither
-    certifies compositeness nor produces a polynomial.
+    f is the composed product of the pairs' period polynomials, built over
+    Z and reduced mod n.  For a system of several pairs, one Euclid decides
+    whether f' is a unit mod f, i.e. whether f is squarefree modulo every
+    p | n; a divisor of n met there is returned as FactorFound(d), and a
+    nonconstant gcd raises TensorDependency, a distinct failure that
+    neither certifies compositeness nor produces a polynomial.  Returns
+    Constructed(f, ...) with deg f in [D, 2D) on success, and None when no
+    period system of the target degree exists at this scale.
     """
     if degree_target < 2:
         raise ValueError("degree target must be >= 2")
@@ -707,11 +816,17 @@ def construct_poly_pipeline(
     system = find_period_system(n, degree_target, r_limit=r_limit, q_limit=q_limit)
     if system is None:
         return None
-    try:
-        fs = [period_polynomial(pair.r, pair.q, n) for pair in system.pairs]
-        f, _ = _fold(fs)
-    except _FactorHit as hit:
-        return FactorFound(hit.divisor)
+    polys = [_period_polynomial_over_z(pair.r, pair.q, n) for pair in system.pairs]
+    coeffs = _composed_product(polys)
+    f = ModPoly(n, coeffs)
+    if len(polys) > 1:
+        derivative = ModPoly(n, [k * c for k, c in enumerate(coeffs)][1:])
+        out = poly_is_unit_mod(derivative, f)
+        if isinstance(out, FactorFound):
+            return out
+        if isinstance(out, NonUnit):
+            raise TensorDependency(
+                f"the composed product of degree {f.degree} is not squarefree mod {n}")
     if not degree_target <= f.degree < 2 * degree_target:
         raise RuntimeError(
             f"constructed degree {f.degree} escaped [{degree_target}, "

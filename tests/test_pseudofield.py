@@ -23,7 +23,11 @@ from abprime import (
     tensor_product,
     verify_axioms,
 )
+from abprime.periodsys import find_period_system
 from abprime.pseudofield import (
+    TensorDependency,
+    _FactorHit,
+    _fold,
     _verify_power_chain,
     _verify_structural,
     period_conjugates,
@@ -176,6 +180,64 @@ def test_period_polynomial_against_minimal_poly_oracle():
                     (11, 5, 23), (13, 2, 5), (13, 3, 7)]:
         eta = gaussian_period(r, q, n)
         assert period_polynomial(r, q, n) == min_poly_mod_prime(eta, n, q)
+
+
+def cyclotomic_period_polynomial(r, q, n):
+    """Oracle: expand prod (x - tau^m eta) inside (Z/nZ)[zeta_r] and require
+    every coefficient to collapse to a constant."""
+    coeffs = [CyclotomicElt.one(n, r)]
+    for eta in period_conjugates(r, q, n):
+        shifted = [CyclotomicElt.zero(n, r)] + coeffs
+        coeffs = [s - c * eta for s, c in
+                  zip(shifted, coeffs + [CyclotomicElt.zero(n, r)])]
+    return ModPoly(n, [c.constant_value() for c in coeffs])
+
+
+def test_period_polynomial_matches_cyclotomic_expansion():
+    # 1000003 is prime and 1000001 = 101 * 9901; the expansion runs once
+    # modulo their product, which reduces to the expansion modulo each
+    moduli = (1000003, 1000001)
+    for r, q in [(5, 2), (7, 3), (173, 43), (367, 61), (607, 101)]:
+        want = cyclotomic_period_polynomial(r, q, moduli[0] * moduli[1])
+        for n in moduli:
+            assert period_polynomial(r, q, n) == want.reduce_to_modulus(n), (r, q, n)
+
+
+@pytest.mark.parametrize("j", [0, 1, 30, 60])
+def test_period_polynomial_corrupted_coefficient_is_caught(monkeypatch, j):
+    # +1 on coefficient j modulo every CRT prime is +1 on the integer
+    # coefficient of x^j; the check f(eta) = 0 must reject it
+    import abprime.pseudofield as pf
+    real = pf._period_polynomial_mod_prime
+
+    def corrupted(r, p, cosets):
+        coeffs = real(r, p, cosets)
+        coeffs[min(j, len(coeffs) - 2)] += 1
+        return coeffs
+
+    monkeypatch.setattr(pf, "_period_polynomial_mod_prime", corrupted)
+    for r, q, n in [(7, 3, 341), (7, 3, 97), (367, 61, 2111), (367, 61, 1000001)]:
+        with pytest.raises(RuntimeError, match="does not vanish"):
+            period_polynomial(r, q, n)
+    with pytest.raises(RuntimeError, match="does not vanish"):
+        construct_poly_pipeline(2111, 121)
+
+
+def test_composed_product_examples(monkeypatch):
+    import abprime.pseudofield as pf
+    # roots +-sqrt2 times +-sqrt3: +-sqrt6, each twice
+    assert pf._composed_product([[-2, 0, 1], [-3, 0, 1]]) == [36, 0, -12, 0, 1]
+    real = pf._power_sums
+
+    def corrupted(coeffs, count):
+        sums = real(coeffs, count)
+        sums[2] += 1
+        return sums
+
+    monkeypatch.setattr(pf, "_power_sums", corrupted)
+    # x^2 + x - 1 and x^3 + x^2 - 2x - 1: p_2 = 4 and 6 instead of 3 and 5
+    with pytest.raises(RuntimeError, match="remainder"):
+        pf._composed_product([[-1, 1, 1], [-1, -2, 1, 1]])
 
 
 def test_period_conjugates_are_roots():
@@ -438,8 +500,57 @@ def test_construct_pipeline_341():
 
 def test_construct_pipeline_factor_found():
     result = construct_poly_pipeline(1001, 6)  # 1001 = 7 * 11 * 13
-    assert isinstance(result, FactorFound)
-    assert 1001 % result.divisor == 0
+    assert result == FactorFound(7)
+
+
+def test_construct_pipeline_matches_tensor_fold():
+    # the composed product over Z against the elimination over Z/NZ,
+    # wherever both build f
+    rng = random.Random(45)
+    compared = multi = 0
+    for _ in range(400):
+        n = rng.randrange(1001, 60000) | 1
+        d = rng.choice([4, 6, 9, 15])
+        system = find_period_system(n, d)
+        result = construct_poly_pipeline(n, d)
+        if system is None:
+            assert result is None
+            continue
+        try:
+            folded, _ = _fold([period_polynomial(p.r, p.q, n) for p in system.pairs])
+        except (_FactorHit, TensorDependency):
+            continue
+        if isinstance(result, Constructed):
+            assert result.f == folded, (n, d)
+            compared += 1
+            multi += len(system.pairs) > 1
+    assert compared >= 150 and multi >= 50, (compared, multi)
+
+
+def test_construct_pipeline_not_squarefree(monkeypatch):
+    # no input is known where f' and f share a monic factor mod N without
+    # exposing a divisor; the outcome is TensorDependency, as for the fold
+    import abprime.pseudofield as pf
+    from abprime.polyring import NonUnit
+    monkeypatch.setattr(pf, "poly_is_unit_mod", lambda u, f: NonUnit(f))
+    with pytest.raises(TensorDependency, match="not squarefree"):
+        construct_poly_pipeline(101, 30)
+
+
+def test_verify_structural_folds_once(monkeypatch):
+    # the provenance check compares the composed product with f; only the
+    # sigma fold eliminates
+    import abprime.pseudofield as pf
+    calls = []
+
+    def counting_fold(fs, exprs=()):
+        calls.append(len(fs))
+        return _fold(fs, exprs)
+
+    a = construct_poly_pipeline(101, 30).pseudofield
+    monkeypatch.setattr(pf, "_fold", counting_fold)
+    assert verify_axioms(a).verdict == "verified"
+    assert calls == [3]
 
 
 def test_construct_pipeline_not_found():
