@@ -3,11 +3,12 @@
     python3 scripts/bench_pipeline.py --src SRC --label NAME [--out BENCH_pipeline.json]
 
 Runs `python -m abprime.cli isprime N --seed 00 --json` with the library
-imported from SRC, on one prime of each bit size from --start bits upward
-(the prime is sympy.nextprime of a start seeded by the bit size, so every
-tree times the same N).  Each call gets --limit seconds; the first size
-that exceeds it ends the run.  The rows are stored under NAME in the output
-file, next to the runs already recorded there under other names.
+imported from SRC, on one prime of each bit size from START_BITS upward
+(perfbench's prime_of_bits with an RNG seeded by the bit size, so every
+tree times the same N).  Each call gets LIMIT_S seconds; the first size
+that exceeds it, fails, or does not return a PRIME verdict on a constructed
+f ends the run.  The rows are stored under NAME in the output file, next
+to the runs already recorded there under other names.
 """
 from __future__ import annotations
 
@@ -20,29 +21,34 @@ import subprocess
 import sys
 import time
 
-import sympy
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+START_BITS = 12
+LIMIT_S = 60.0
 
 
-def prime_of_bits(bits: int) -> int:
-    rng = random.Random(f"bench-pipeline/{bits}")
-    while True:
-        n = int(sympy.nextprime(rng.randrange(1 << (bits - 1), 1 << bits)))
-        if n.bit_length() == bits:
-            return n
-
-
-def time_isprime(src: str, n: int, limit: float) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+def time_isprime(src: str, n: int) -> dict:
+    """One timed CLI call; the row has an "error" entry unless it is a PRIME
+    verdict on a constructed f (evidence null)."""
+    env = dict(os.environ, PYTHONPATH=src)
     cmd = [sys.executable, "-m", "abprime.cli", "isprime", str(n), "--seed", "00", "--json"]
     start = time.perf_counter()
     try:
-        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=limit)
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=LIMIT_S)
     except subprocess.TimeoutExpired:
-        return {"n": n, "wall_s": None, "timed_out": True}
+        return {"n": n, "wall_s": None, "error": f"over {LIMIT_S} s"}
     wall = time.perf_counter() - start
-    verdict = json.loads(proc.stdout)
-    return {"n": n, "wall_s": round(wall, 3), "timed_out": False,
-            "outcome": verdict["outcome"], "deg_f": verdict["rounds_used"]}
+    row = {"n": n, "wall_s": round(wall, 3)}
+    try:
+        verdict = json.loads(proc.stdout)
+    except json.JSONDecodeError:
+        verdict = None
+    if verdict is None:
+        row["error"] = f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"
+        return row
+    row.update(outcome=verdict["outcome"], deg_f=verdict["rounds_used"])
+    if proc.returncode != 0 or verdict["outcome"] != "PRIME" or verdict["evidence"] is not None:
+        row["error"] = f"exit {proc.returncode}, not a PRIME verdict on a constructed f: {verdict}"
+    return row
 
 
 def main() -> int:
@@ -50,17 +56,18 @@ def main() -> int:
     ap.add_argument("--src", required=True, help="directory holding the abprime package")
     ap.add_argument("--label", required=True, help="name to store the run under")
     ap.add_argument("--out", default="BENCH_pipeline.json")
-    ap.add_argument("--start", type=int, default=12, help="first bit size")
-    ap.add_argument("--limit", type=float, default=60.0, help="seconds allowed per call")
     args = ap.parse_args()
+    src = os.path.abspath(args.src)
+    sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
+    from workloads import prime_of_bits
 
     rows = {}
-    bits = args.start
+    bits = START_BITS
     while True:
-        row = time_isprime(args.src, prime_of_bits(bits), args.limit)
+        row = time_isprime(src, prime_of_bits(random.Random(f"bench-pipeline/{bits}"), bits))
         rows[str(bits)] = row
         print(bits, row, flush=True)
-        if row["timed_out"]:
+        if "error" in row:
             break
         bits += 1
     record = {}
@@ -68,8 +75,8 @@ def main() -> int:
         with open(args.out) as fh:
             record = json.load(fh)
     record.setdefault("runs", {})[args.label] = {
-        "limit_s": args.limit,
-        "largest_bits_within_limit": bits - 1 if bits > args.start else None,
+        "limit_s": LIMIT_S,
+        "largest_bits_within_limit": bits - 1 if bits > START_BITS else None,
         "bits": rows,
     }
     record["command"] = "python -m abprime.cli isprime N --seed 00 --json (default c = 2)"
