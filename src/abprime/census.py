@@ -13,18 +13,16 @@ Counts are exact integers and fractions are exact rationals; a report also
 carries the applicable analytic bound so callers can flag any violation
 (the falsification signal).
 
-Size limits are configuration: each operation takes an explicit limit, and
-the PSEUDO_DESK_LIMIT environment variable overrides the defaults.
+Size limits are fixed constants: FACTOR_LIMIT bounds n for factoring,
+MR_LIMIT the Miller-Rabin census, EXTENSION_LIMIT the field size p^d and
+MOD_N_LIMIT the mod-(N, f) search space N^d.  Larger instances raise
+DeskLimitError before any enumeration starts.
 """
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
-
-import numpy as np
 
 from .intarith import decompose_two_power, factorize
 from .periodsys import is_small_prime
@@ -43,12 +41,10 @@ __all__ = [
     "heuristic_class_scan",
 ]
 
-ENV_DESK_LIMIT = "PSEUDO_DESK_LIMIT"
-
-FACTOR_LIMIT_DEFAULT = 10**12
-MR_LIMIT_DEFAULT = 10**6
-EXTENSION_LIMIT_DEFAULT = 10**6
-MOD_N_LIMIT_DEFAULT = 10**7
+FACTOR_LIMIT = 10**12
+MR_LIMIT = 10**6
+EXTENSION_LIMIT = 10**6
+MOD_N_LIMIT = 10**7
 
 
 class DeskLimitError(ValueError):
@@ -57,13 +53,6 @@ class DeskLimitError(ValueError):
 
 class BoundViolation(Exception):
     """A proven bound failed on an exhaustively computed value."""
-
-
-def _limit(explicit: Optional[int], default: int) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(ENV_DESK_LIMIT)
-    return int(env) if env else default
 
 
 @dataclass(frozen=True)
@@ -88,24 +77,24 @@ class CensusReport:
         }
 
 
-def factorize_desk(n: int, limit: Optional[int] = None) -> list[tuple[int, int]]:
-    """Complete factorization by trial division; refuses n above the limit."""
+def factorize_desk(n: int) -> list[tuple[int, int]]:
+    """Complete factorization by trial division; refuses n above FACTOR_LIMIT."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    cap = _limit(limit, FACTOR_LIMIT_DEFAULT)
-    if n > cap:
-        raise DeskLimitError(f"{n} exceeds the desk factorization limit {cap}")
+    if n > FACTOR_LIMIT:
+        raise DeskLimitError(f"{n} exceeds the desk factorization limit {FACTOR_LIMIT}")
     return factorize(n)
 
 
 def _count_nonwitnesses_range(n: int, s: int, t: int) -> int:
-    """Nonwitness bases a in [1, n) counted exhaustively.
+    """Nonwitness bases a in [1, n) counted exhaustively, vectorized.
 
-    Vectorized when the intermediate products fit in int64; the plain loop
-    handles moduli beyond that (reachable only with a raised size limit).
+    n <= MR_LIMIT, so every product of two residues, below (n-1)^2 < 2^63,
+    fits in int64.
     """
-    if (n - 1) * (n - 1) >= 2**63:
-        return _count_nonwitnesses_plain(n, s, t)
+    # imported here: numpy costs most of `import abprime` and only this uses it
+    import numpy as np
+
     a = np.arange(1, n, dtype=np.int64)
     x = np.ones_like(a)
     base = a.copy()
@@ -123,31 +112,15 @@ def _count_nonwitnesses_range(n: int, s: int, t: int) -> int:
     return int(nonwit.sum())
 
 
-def _count_nonwitnesses_plain(n: int, s: int, t: int) -> int:
-    count = 0
-    for a in range(1, n):
-        x = pow(a, t, n)
-        if x == 1:
-            count += 1
-            continue
-        for _ in range(s):
-            if x == n - 1:
-                count += 1
-                break
-            x = x * x % n
-    return count
-
-
-def mr_nonwitness_census(n: int, limit: Optional[int] = None) -> CensusReport:
+def mr_nonwitness_census(n: int) -> CensusReport:
     """Exact count of Miller-Rabin nonwitness bases a in [1, n-1].
 
     n must be odd and composite.  The bound is min(1/4, the group-theoretic
     bound 1 / (2^(r-1) * prod p_i^(e_i - 1))) over the factorization
-    n = prod p_i^e_i.
+    n = prod p_i^e_i.  n above MR_LIMIT raises DeskLimitError.
     """
-    cap = _limit(limit, MR_LIMIT_DEFAULT)
-    if n > cap:
-        raise DeskLimitError(f"{n} exceeds the census limit {cap}")
+    if n > MR_LIMIT:
+        raise DeskLimitError(f"{n} exceeds the census limit {MR_LIMIT}")
     if n < 3 or n % 2 == 0:
         raise ValueError(f"need odd n >= 3, got {n}")
     factors = factorize_desk(n)
@@ -169,9 +142,7 @@ def mr_nonwitness_census(n: int, limit: Optional[int] = None) -> CensusReport:
     )
 
 
-def _check_extension_args(
-    n: int, p: int, f: ModPoly, limit: Optional[int]
-) -> tuple[ModPoly, int]:
+def _check_extension_args(n: int, p: int, f: ModPoly) -> tuple[ModPoly, int]:
     if not is_small_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if n % p != 0:
@@ -180,17 +151,14 @@ def _check_extension_args(
     d = fp.degree
     if d < 1:
         raise ValueError("f must have degree >= 1")
-    cap = _limit(limit, EXTENSION_LIMIT_DEFAULT)
-    if p**d > cap:
-        raise DeskLimitError(f"field size {p}^{d} exceeds the limit {cap}")
+    if p**d > EXTENSION_LIMIT:
+        raise DeskLimitError(f"field size {p}^{d} exceeds the limit {EXTENSION_LIMIT}")
     if not is_irreducible_mod_p(fp, p):
         raise ValueError(f"f is reducible mod {p}; the residue ring is not a field")
     return fp, d
 
 
-def root_count_in_extension(
-    n: int, p: int, f: ModPoly, limit: Optional[int] = None
-) -> int:
+def root_count_in_extension(n: int, p: int, f: ModPoly) -> int:
     """Number of roots of g = (x+1)^n - x^n - 1 in the field F_p[x]/(f).
 
     Counted without enumeration as deg gcd(g, x^(p^d) - x) over F_p, the
@@ -199,7 +167,7 @@ def root_count_in_extension(
     (beta = -1 included, as m and n share their parity for odd p), so
     deg g < min(n, p^d) and Euclid costs O(min(n, p^d)^2) F_p operations.
     """
-    _, d = _check_extension_args(n, p, f, limit)
+    _, d = _check_extension_args(n, p, f)
     q = p**d
     m = (n - 1) % (q - 1) + 1
     x = ModPoly.x(p)
@@ -246,16 +214,14 @@ def _deg_g_mod_p(n: int, p: int) -> int:
     return n - p**v
 
 
-def ab_failure_census_mod_p(
-    n: int, p: int, f: ModPoly, limit: Optional[int] = None
-) -> CensusReport:
+def ab_failure_census_mod_p(n: int, p: int, f: ModPoly) -> CensusReport:
     """Exact count of h over F_p, deg h < deg f, with (h+1)^n = h^n + 1 mod (p, f).
 
     The bound recorded is deg g / p^d for g = (x+1)^n - x^n - 1 reduced
     mod p (its true degree, from Lucas' theorem), the quantity the
     root-counting argument actually controls.
     """
-    fp, d = _check_extension_args(n, p, f, limit)
+    fp, d = _check_extension_args(n, p, f)
     total = p**d
     failing = _identity_count(n, p, d, fp)
     return CensusReport(
@@ -268,9 +234,7 @@ def ab_failure_census_mod_p(
     )
 
 
-def ab_failure_census_mod_N(
-    n: int, f: ModPoly, limit: Optional[int] = None
-) -> CensusReport:
+def ab_failure_census_mod_N(n: int, f: ModPoly) -> CensusReport:
     """Exact count of h over Z/NZ, deg h < deg f, passing the identity mod (N, f).
 
     Tiny instances only (N^deg f capped).  The bound is the multi-factor
@@ -286,9 +250,8 @@ def ab_failure_census_mod_N(
     factors = factorize_desk(n)
     if len(factors) == 1 and factors[0][1] == 1:
         raise ValueError(f"{n} is prime; the census needs a composite")
-    cap = _limit(limit, MOD_N_LIMIT_DEFAULT)
-    if n**d > cap:
-        raise DeskLimitError(f"search space {n}^{d} exceeds the limit {cap}")
+    if n**d > MOD_N_LIMIT:
+        raise DeskLimitError(f"search space {n}^{d} exceeds the limit {MOD_N_LIMIT}")
     total = n**d
     failing = _identity_count(n, n, d, f)
     r = len(factors)
@@ -305,9 +268,7 @@ def ab_failure_census_mod_N(
     )
 
 
-def heuristic_class_scan(
-    k_max: int, limit: Optional[int] = None
-) -> list[CensusReport]:
+def heuristic_class_scan(k_max: int) -> list[CensusReport]:
     """Census the family N = (2k+1)(6k+1), k odd, both factors prime.
 
     For each instance the nonwitness fraction must be at least
@@ -323,7 +284,7 @@ def heuristic_class_scan(
         if not (is_small_prime(p) and is_small_prime(q)):
             continue
         n = p * q
-        census = mr_nonwitness_census(n, limit=limit)
+        census = mr_nonwitness_census(n)
         lower = Fraction(1, 12) * Fraction(p - 1, p) * Fraction(q - 1, q)
         if lower < Fraction(1, 21):
             raise BoundViolation(

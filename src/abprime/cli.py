@@ -210,11 +210,9 @@ def _cmd_census(args) -> int:
     return 0
 
 
-def _bench_one(bits: int, c: Fraction, trials: int, seed: int) -> BenchReport:
+def _bench_one(bits: int, degree: int, trials: int, seed: int) -> BenchReport:
     rng = random.Random(seed ^ bits)
     n = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
-    config = PipelineConfig(c=c)
-    degree = target_degree(n, config)
     f = _random_monic(n, degree, rng)
 
     mr_ns = 0
@@ -260,10 +258,19 @@ def _cmd_bench(args) -> int:
     if args.trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    config = PipelineConfig(c=args.c)
+    # every bits-bit N has floor_log2 N = bits - 1, so one degree serves them
+    # all, and it must stay below the least odd one, 2^(bits-1) + 1
+    degrees = [target_degree(1 << (bits - 1), config) for bits in bit_sizes]
+    for bits, degree in zip(bit_sizes, degrees):
+        if degree > 1 << (bits - 1):
+            print(f"error: deg f = {degree} at {bits} bits is not below every "
+                  f"{bits}-bit N (the least is {(1 << (bits - 1)) + 1})", file=sys.stderr)
+            return EXIT_USAGE
     seed = _parse_seed(args.seed)
     print("bits,T_mr,T_ab,R_mr,R_ab")
-    for bits in bit_sizes:
-        report = _bench_one(bits, args.c, args.trials, seed)
+    for bits, degree in zip(bit_sizes, degrees):
+        report = _bench_one(bits, degree, args.trials, seed)
         print(f"{bits},{report.mr_time_ns},{report.ab_time_ns},"
               f"{float(report.ratio_mr)},{float(report.ratio_ab)}")
     return 0

@@ -11,8 +11,8 @@ smallest admissible r for each prime q, and then picks the subset of q's
 whose product lands in the target window [D, 2D), preferring the smallest
 degree (ties broken by lexicographic q-list).  The asymptotic theory backs
 the search only for astronomically large N and D; at desk scale the
-enumeration bounds are generous configurable caps and the search is
-best-effort: when nothing fits, it honestly returns None.
+enumeration bounds are fixed caps, r < max(64, 16D) and q < 2D, and the
+search is best-effort: when nothing fits, it honestly returns None.
 """
 from __future__ import annotations
 
@@ -85,33 +85,24 @@ def system_degree(system: PeriodSystem) -> int:
     return reduce(lambda acc, p: acc * p.q, system.pairs, 1)
 
 
-def find_period_system(
-    n: int,
-    degree_target: int,
-    *,
-    r_limit: Optional[int] = None,
-    q_limit: Optional[int] = None,
-) -> Optional[PeriodSystem]:
+def find_period_system(n: int, degree_target: int) -> Optional[PeriodSystem]:
     """Search for a period system for n of degree in [D, 2D), D = degree_target.
 
-    Scans primes r ascending up to r_limit (default max(64, 16*D)); for each
-    prime q | r-1 below q_limit (default 2D, which any usable q must satisfy)
-    keeps the smallest r making (r, q) a period pair for n.  Deterministic:
-    the same (n, D) always yields the same system.
+    Scans primes r ascending below max(64, 16*D); for each prime q | r-1
+    below 2D (which any usable q must satisfy) keeps the smallest r making
+    (r, q) a period pair for n.  Deterministic: the same (n, D) always
+    yields the same system.
     """
     if n <= 1:
         raise ValueError(f"need n > 1, got {n}")
     if degree_target < 2:
         raise ValueError("degree target must be >= 2")
-    cap_q = q_limit if q_limit is not None else 2 * degree_target
-    cap_r = r_limit if r_limit is not None else max(64, 16 * degree_target)
-
     best_r: dict[int, int] = {}
-    for r in range(3, cap_r):
+    for r in range(3, max(64, 16 * degree_target)):
         if not is_small_prime(r):
             continue
         for q, _ in factorize(r - 1):
-            if q < cap_q and q not in best_r and is_period_pair(n, r, q):
+            if q < 2 * degree_target and q not in best_r and is_period_pair(n, r, q):
                 best_r[q] = r
 
     qs = sorted(best_r)

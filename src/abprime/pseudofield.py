@@ -792,11 +792,7 @@ def is_irreducible_mod_p(f: ModPoly, p: int) -> bool:
 
 
 def construct_poly_pipeline(
-    n: int,
-    degree_target: int,
-    *,
-    r_limit: Optional[int] = None,
-    q_limit: Optional[int] = None,
+    n: int, degree_target: int
 ) -> Union[Constructed, FactorFound, None]:
     """Find a period system for n and build its defining polynomial.
 
@@ -807,13 +803,14 @@ def construct_poly_pipeline(
     nonconstant gcd raises TensorDependency, a distinct failure that
     neither certifies compositeness nor produces a polynomial.  Returns
     Constructed(f, ...) with deg f in [D, 2D) on success, and None when no
-    period system of the target degree exists at this scale.
+    period system of the target degree exists within the search caps of
+    find_period_system.
     """
     if degree_target < 2:
         raise ValueError("degree target must be >= 2")
     if n <= 2 * degree_target:
         raise ValueError(f"need N > 2D = {2 * degree_target}, got {n}")
-    system = find_period_system(n, degree_target, r_limit=r_limit, q_limit=q_limit)
+    system = find_period_system(n, degree_target)
     if system is None:
         return None
     polys = [_period_polynomial_over_z(pair.r, pair.q, n) for pair in system.pairs]

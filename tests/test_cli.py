@@ -187,11 +187,16 @@ def test_bench_usage(capsys):
 
 
 def test_bench_rejects_nonpositive_trials(capsys):
-    for trials in ("0", "-1"):
-        code, out, _ = run(capsys, "bench", "--bits", "8", "--seed", "01",
-                           "--trials", trials)
-        assert code == 64
-        assert out == ""
+    # a usage error leaves stdout empty, not a CSV header without rows;
+    # deg f = ceil((bits-1)^c) must stay below every N of that size
+    for argv in (["--bits", "8", "--seed", "01", "--trials", "0"],
+                 ["--bits", "8", "--seed", "01", "--trials", "-1"],
+                 ["--bits", "4", "--seed", "1"],
+                 ["--bits", "6", "--c", "3"],
+                 ["--bits", "8", "--c", "0"]):
+        code, out, _ = run(capsys, "bench", *argv)
+        assert code == 64, argv
+        assert out == "", argv
 
 
 def test_compute_ratio():

@@ -67,8 +67,9 @@ def test_find_period_system_small_window():
 
 
 def test_find_period_system_none_when_bounds_exclude():
-    # explicit tiny caps empty the candidate set
-    assert find_period_system(3, 9, r_limit=3, q_limit=2) is None
+    # 64 = 8^2 = 4^3 is a square and a cube mod every r, so no q < 2D = 4
+    # makes a period pair
+    assert find_period_system(64, 2) is None
 
 
 def test_found_systems_validate():

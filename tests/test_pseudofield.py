@@ -554,7 +554,7 @@ def test_verify_structural_folds_once(monkeypatch):
 
 
 def test_construct_pipeline_not_found():
-    assert construct_poly_pipeline(97, 4, r_limit=3, q_limit=2) is None
+    assert construct_poly_pipeline(64, 2) is None
 
 
 def test_construct_pipeline_validation():
