@@ -1,0 +1,146 @@
+"""Best-of-k times of the polyring multiply and reduce kernels.
+
+    python3 scripts/bench_kernels.py --src SRC --label NAME [--out BENCH_kernels.json]
+
+Imports abprime from SRC.  For each degree in DEGREES and modulus bits in
+BITS, on seeded operands a, b of length deg and a seeded monic f of degree
+deg, it records:
+
+- mul_us: _mul_coeffs(a, b, m), the bare product;
+- mul_mod_us: poly_mul_mod(a, b, f), one ring multiplication;
+- square_mod_us: poly_mul_mod(a, a, f), one ring squaring;
+- operand_kbit: the largest integer _mul_coeffs hands to a big-integer
+  multiply.
+
+It then records the schoolbook/Kronecker time ratio that sets
+_KRONECKER_MIN, for shorter operands of SHORT coefficients against a longer
+one of equal length ("bal") or of LONG coefficients.  Every time is the
+fastest of at least REPS runs that together take MIN_S seconds.  The rows
+are stored under NAME in the output file, next to the runs already
+recorded there under other names.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import sys
+import time
+
+DEGREES = (64, 128, 256, 512, 1024, 2048, 4096, 8192)
+BITS = (20, 64, 128, 256)
+SHORT = (4, 6, 8, 9, 10, 12, 16, 24, 32)
+LONG = ("bal", 64, 3000)
+THRESHOLD_BITS = (5, 7, 12, 24, 64, 128)
+REPS = 3
+MIN_S = 0.2
+
+
+def best_time(fn, min_s: float = MIN_S) -> float:
+    times: list[float] = []
+    while len(times) < REPS or sum(times) < min_s:
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def operand_bits(polyring, fn) -> int:
+    """Bits of the largest integer fn multiplies, read by wrapping the
+    tree's multiply entry: _times for the two-point kernel, _mpz for the
+    single-point one."""
+    seen = [0]
+    if hasattr(polyring, "_times"):
+        name, orig = "_times", polyring._times
+
+        def hook(pa, pb):
+            seen[0] = max(seen[0], *(abs(v).bit_length() for v in pa + pb))
+            return orig(pa, pb)
+    else:
+        name, orig = "_mpz", polyring._mpz
+
+        def hook(v):
+            seen[0] = max(seen[0], v.bit_length())
+            return orig(v)
+    setattr(polyring, name, hook)
+    try:
+        fn()
+    finally:
+        setattr(polyring, name, orig)
+    return seen[0]
+
+
+def kernel_row(polyring, deg: int, bits: int) -> dict:
+    from abprime import ModPoly, poly_mul_mod
+
+    rng = random.Random(f"bench-kernels/{deg}/{bits}")
+    m = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+    a, b = ([rng.randrange(m) for _ in range(deg)] for _ in range(2))
+    f = ModPoly(m, [rng.randrange(m) for _ in range(deg)] + [1])
+    pa, pb = ModPoly(m, a), ModPoly(m, b)
+    poly_mul_mod(pa, pb, f)  # builds the reducer for f outside the timings
+    return {
+        "mul_us": round(best_time(lambda: polyring._mul_coeffs(a, b, m)) * 1e6, 1),
+        "mul_mod_us": round(best_time(lambda: poly_mul_mod(pa, pb, f)) * 1e6, 1),
+        "square_mod_us": round(best_time(lambda: poly_mul_mod(pa, pa, f)) * 1e6, 1),
+        "operand_kbit": round(operand_bits(polyring, lambda: polyring._mul_coeffs(a, b, m)) / 1000, 2),
+    }
+
+
+def threshold_ratio(polyring, bits: int, short: int, long: int) -> float:
+    rng = random.Random(f"bench-kernels/threshold/{bits}/{short}/{long}")
+    m = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+    a = [rng.randrange(m) for _ in range(short)]
+    b = [rng.randrange(m) for _ in range(long)]
+    school = best_time(lambda: polyring._mul_schoolbook(a, b, m), 0.05)
+    kron = best_time(lambda: polyring._mul_kronecker(a, b, m), 0.05)
+    return round(school / kron, 2)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", required=True, help="directory holding the abprime package")
+    ap.add_argument("--label", required=True, help="name to store the run under")
+    ap.add_argument("--out", default="BENCH_kernels.json")
+    args = ap.parse_args()
+    sys.path.insert(0, os.path.abspath(args.src))
+    from abprime import polyring
+
+    kernels = {}
+    for deg in DEGREES:
+        for bits in BITS:
+            row = kernel_row(polyring, deg, bits)
+            kernels[f"{deg}x{bits}"] = row
+            print(deg, bits, row, flush=True)
+    threshold = {}
+    for bits in THRESHOLD_BITS:
+        for long in LONG:
+            threshold[f"{bits}x{long}"] = cells = {
+                str(short): threshold_ratio(polyring, bits, short, short if long == "bal" else long)
+                for short in SHORT}
+            print(bits, long, cells, flush=True)
+    record = {}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            record = json.load(fh)
+    record.setdefault("runs", {})[args.label] = {
+        "kernels": kernels,
+        "schoolbook_over_kronecker": threshold,
+        "kronecker_min": polyring._KRONECKER_MIN,
+    }
+    record["shapes"] = "kernels: deg x modulus bits; schoolbook_over_kronecker: bits x longer length, keyed by shorter length"
+    record["environment"] = {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+    }
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

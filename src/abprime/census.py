@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .intarith import decompose_two_power, factorize
 from .periodsys import is_small_prime
-from .polyring import ModPoly, poly_is_unit_mod, poly_pow_mod
+from .polyring import ModPoly, _euclid, poly_pow_mod
 from .pseudofield import is_irreducible_mod_p
 
 __all__ = [
@@ -180,8 +180,9 @@ def root_count_in_extension(n: int, p: int, f: ModPoly) -> int:
     g = ModPoly(p, [c * inv for c in g.coeffs])
     if g.degree == 1:
         return 1  # g(0) = 0, so g = x
-    # 0 is always a root, so the gcd is never a unit
-    return poly_is_unit_mod(poly_pow_mod(x, q, g) - x, g).divisor.degree
+    # Euclid over the field F_p: only the gcd is read
+    gcd, _ = _euclid(poly_pow_mod(x, q, g) - x, g, bezout=False)
+    return len(gcd) - 1
 
 
 def _identity_count(n: int, base: int, d: int, f: ModPoly) -> int:

@@ -6,14 +6,25 @@ polynomial is the empty vector with degree -1.  Reduction is only ever by a
 monic modulus, so no coefficient divisions are needed and the arithmetic is
 valid over Z/NZ for composite N.
 
-Multiplication has a schoolbook path and a Kronecker-substitution path that
-packs coefficients into one big integer (gmpy2 when available); schoolbook
-runs when the shorter operand has fewer than _KRONECKER_MIN coefficients.
-Reduction by a monic f has a schoolbook path and a Newton-reciprocal path
-for large degrees.  The schoolbook division runs in place and leaves the
-quotient above the remainder, so Euclid in poly_is_unit_mod uses the same
-loop.  The paths agree coefficient for coefficient; thresholds are tuning
-constants only.
+Multiplication has a schoolbook path and a Kronecker-substitution path;
+schoolbook runs when the shorter operand has fewer than _KRONECKER_MIN
+coefficients.  The Kronecker path is Harvey's two-point substitution
+(KS2; Faster polynomial multiplication via multipoint Kronecker
+substitution, JSC 2009): with slots of W bytes and b = 4W bits, one pack
+of the even and one of the odd coefficients give A(2^b) = E + (O << b) and
+A(-2^b) = E - (O << b), each point is multiplied once (squared for a
+square), and the product's even and odd coefficients are (h+ + h-) >> 1
+and (h+ - h-) >> (b + 1), both exact.  Two products of half the bits
+replace one.
+
+Reduction by a monic f has a schoolbook path and, from _NEWTON_MIN_DEGREE
+on, a Newton-reciprocal path that _Reducer fuses with the multiplication:
+the product stays packed, only the top slots (for the quotient) and the
+remainder's d slots are unpacked, and the remainder is formed on the packs
+with a bias that keeps every slot nonnegative (see _Reducer).  The
+schoolbook division runs in place and leaves the quotient above the
+remainder, so Euclid uses the same loop.  The paths agree coefficient for
+coefficient; thresholds are tuning constants only.
 
 Text serialization is a single line ``N; c0,c1,...,cd`` with decimal
 integers, index = degree.
@@ -28,11 +39,6 @@ from typing import Sequence, Union
 from .instrument import active_counter, binary_method_mults
 from .intarith import FactorFound, try_invert
 
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - gmpy2 is an optional accelerator
-    _mpz = int
-
 __all__ = [
     "ModPoly",
     "Unit",
@@ -44,7 +50,7 @@ __all__ = [
     "poly_is_unit_mod",
 ]
 
-_KRONECKER_MIN = 10  # shorter length below which schoolbook wins
+_KRONECKER_MIN = 16  # shorter length below which schoolbook wins
 _NEWTON_MIN_DEGREE = 48
 
 
@@ -200,22 +206,54 @@ def _mul_schoolbook(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
 
 
 def _mul_kronecker(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
-    # Pack each coefficient into a fixed byte-aligned slot and do a single
-    # big-integer multiply; slot width leaves room for the column sums.
+    # Slots wide enough for the column sums, so the coefficients of the
+    # product come out of its packs exactly.
     nbits = 2 * (m - 1).bit_length() + min(len(a), len(b)).bit_length() + 1
     width = (nbits + 7) // 8
-    pa = _pack(a, width)
-    pb = _pack(b, width)
-    prod = int(_mpz(pa) * _mpz(pb))
-    n = len(a) + len(b) - 1
-    raw = prod.to_bytes(width * (n + 1), "little")
-    return [int.from_bytes(raw[i:i + width], "little") % m
-            for i in range(0, width * n, width)]
+    pa = _points(a, width)
+    hp, hm = _times(pa, pa if a is b else _points(b, width))
+    return _unpack_halves(*_halves(hp, hm, width), width, len(a) + len(b) - 1, m)
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
     return int.from_bytes(
         b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
+
+
+def _unpack(v: int, width: int, count: int, m: int) -> list[int]:
+    # v < 2^(8 width count): its count slots, each reduced mod m
+    raw = v.to_bytes(width * count, "little")
+    return [int.from_bytes(raw[i:i + width], "little") % m
+            for i in range(0, width * count, width)]
+
+
+def _unpack_halves(even: int, odd: int, width: int, n: int, m: int) -> list[int]:
+    # the n coefficients whose even and odd halves are packed in even, odd
+    out = [0] * n
+    out[0::2] = _unpack(even, width, (n + 1) // 2, m)
+    out[1::2] = _unpack(odd, width, n // 2, m)
+    return out
+
+
+def _points(coeffs: Sequence[int], width: int) -> tuple[int, int]:
+    """(A(2^b), A(-2^b)) for b = 4 width bits, from one pack of the even and
+    one of the odd coefficients in slots of 8 width bits."""
+    even = _pack(coeffs[0::2], width)
+    odd = _pack(coeffs[1::2], width) << 4 * width
+    return even + odd, even - odd
+
+
+def _times(pa: tuple[int, int], pb: tuple[int, int]) -> tuple[int, int]:
+    # the same object on both sides takes CPython's squaring path
+    if pa is pb:
+        return pa[0] * pa[0], pa[1] * pa[1]
+    return pa[0] * pb[0], pa[1] * pb[1]
+
+
+def _halves(hp: int, hm: int, width: int) -> tuple[int, int]:
+    """The even and the odd coefficients of H, packed as by _points, from
+    H(2^b) and H(-2^b); both divisions are exact."""
+    return (hp + hm) >> 1, (hp - hm) >> (4 * width + 1)
 
 
 def _mul_coeffs(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
@@ -240,45 +278,117 @@ def _divmod_schoolbook(c: list[int], f: Sequence[int], m: int) -> None:
 
 
 class _Reducer:
-    """Reduction modulo one fixed monic f, with a cached Newton reciprocal."""
+    """Ring multiplication modulo one fixed monic f of degree d.
+
+    Below _NEWTON_MIN_DEGREE a product is divided by schoolbook.  From there
+    on, mul is one fused Kronecker pass, except that a product with an
+    operand shorter than _KRONECKER_MIN is schoolbook and reduced from its
+    list by the same steps.  The slot width is fixed per f at
+    W = ceil((2 bits(m) + bits(d) + 2) / 8) bytes, and the packed images at
+    +-2^(4W) of the Newton reciprocal rev(f)^-1 mod x^(d-1) and of f mod x^d
+    are computed once.  For c = a*b = q*f + r of length n:
+
+    - the top n - d coefficients of c are unpacked mod m and reversed; one
+      product with the reciprocal gives rev(q) in its low n - d slots;
+    - one product of q with f mod x^d gives q*f mod x^d;
+    - r = c + BIAS - q*f mod x^d is formed on the packs and unpacked once.
+
+    Every slot of c and of q*f mod x^d is at most d(m-1)^2, and every BIAS
+    slot is d*m^2, a multiple of m, so each slot of the sum lies in
+    (0, 2 d m^2) < 2^(8W): no borrow crosses a slot and each slot is the
+    coefficient of r plus a multiple of m.
+    """
 
     def __init__(self, f: ModPoly):
         self.f = list(f.coeffs)
         self.m = f.modulus
         self.d = f.degree
-        self._recip: list[int] | None = None
+        self._width: int | None = None
+
+    def _setup(self) -> int:
+        # the Newton data, computed on the first fused product only
+        if self._width is None:
+            m, d = self.m, self.d
+            width = (2 * m.bit_length() + d.bit_length() + 2 + 7) // 8
+            self._recip = _points(self._reciprocal(d - 1), width)
+            self._f_low = _points(self.f[:d], width)
+            bias = d * m * m
+            self._bias = (_pack([bias] * ((d + 1) // 2), width),
+                          _pack([bias] * (d // 2), width))
+            self._masks = ((1 << 8 * width * ((d + 1) // 2)) - 1,
+                           (1 << 8 * width * (d // 2)) - 1)
+            self._width = width
+        return self._width
+
+    def _reciprocal(self, k: int) -> list[int]:
+        # inverse of rev(f) modulo x^k; rev(f) has constant term 1 (f monic)
+        frev = self.f[::-1]
+        g = [1]
+        kk = 1
+        while kk < k:
+            kk = min(2 * kk, k)
+            fg = _mul_coeffs(frev[:kk], g, self.m)[:kk]
+            corr = [(-v) % self.m for v in fg]
+            corr[0] = (corr[0] + 2) % self.m
+            g = _mul_coeffs(g, corr, self.m)[:kk]
+        return g
 
     def reduce(self, c: list[int]) -> list[int]:
+        """c mod f for a list c of length below 2d with entries in [0, m)."""
         if len(c) <= self.d:
             return c
         if self.d < _NEWTON_MIN_DEGREE:
             _divmod_schoolbook(c, self.f, self.m)
             del c[self.d:]
             return c
-        return self._reduce_newton(c)
+        width = self._setup()
+        return self._remainder(_pack(c[0::2], width), _pack(c[1::2], width), len(c))
 
-    def _reciprocal(self, k: int) -> list[int]:
-        # inverse of rev(f) modulo x^k; rev(f) has constant term 1 (f monic)
-        if self._recip is None or len(self._recip) < k:
-            frev = self.f[::-1]
-            g = [1]
-            kk = 1
-            while kk < k:
-                kk = min(2 * kk, k)
-                fg = _mul_coeffs(frev[:kk], g, self.m)[:kk]
-                corr = [(-v) % self.m for v in fg]
-                corr[0] = (corr[0] + 2) % self.m
-                g = _mul_coeffs(g, corr, self.m)[:kk]
-            self._recip = g
-        return self._recip[:k]
+    def points(self, a: Sequence[int]) -> tuple[int, int] | None:
+        """The packed images of a, for passing to mul with a as its fixed
+        second operand; None where mul does not pack a."""
+        if self.d < _NEWTON_MIN_DEGREE or len(a) < _KRONECKER_MIN:
+            return None
+        return _points(a, self._setup())
 
-    def _reduce_newton(self, c: list[int]) -> list[int]:
-        qlen = len(c) - self.d  # deg quotient + 1
-        crev = c[::-1]
-        qrev = _mul_coeffs(crev[:qlen], self._reciprocal(qlen), self.m)[:qlen]
-        q = qrev[::-1]
-        qf = _mul_coeffs(q, self.f, self.m)
-        return [(ci - qi) % self.m for ci, qi in zip(c[:self.d], qf[:self.d])]
+    def mul(self, a: Sequence[int], b: Sequence[int],
+            pb: tuple[int, int] | None = None) -> list[int]:
+        """a*b mod f for lists of length at most d with entries in [0, m);
+        pb, when given, is points(b)."""
+        m, d = self.m, self.d
+        if d < _NEWTON_MIN_DEGREE:
+            return self.reduce(_mul_coeffs(a, b, m))
+        if not a or not b:
+            return []
+        if len(a) < _KRONECKER_MIN or len(b) < _KRONECKER_MIN:
+            return self.reduce(_mul_schoolbook(a, b, m))
+        width = self._setup()
+        pa = _points(a, width)
+        if pb is None:
+            pb = pa if a is b else _points(b, width)
+        even, odd = _halves(*_times(pa, pb), width)
+        n = len(a) + len(b) - 1
+        if n <= d:
+            return _unpack_halves(even, odd, width, n, m)
+        return self._remainder(even, odd, n)
+
+    def _remainder(self, even: int, odd: int, n: int) -> list[int]:
+        # c mod f from the packs of the even and odd coefficients of c,
+        # d < n = len(c) < 2d; see the class docstring
+        m, d, width = self.m, self.d, self._width
+        qlen = n - d
+        bits = 8 * width
+        top_e, top_o = even >> bits * ((d + 1) // 2), odd >> bits * (d // 2)
+        # c[d:] starts with an odd coefficient when d is odd
+        top = _unpack_halves(*((top_e, top_o) if d % 2 == 0 else (top_o, top_e)),
+                             width, qlen, m)
+        se, so = _halves(*_times(_points(top[::-1], width), self._recip), width)
+        qrev = _unpack_halves(se & (1 << bits * ((qlen + 1) // 2)) - 1,
+                              so & (1 << bits * (qlen // 2)) - 1, width, qlen, m)
+        te, to = _halves(*_times(_points(qrev[::-1], width), self._f_low), width)
+        (mask_e, mask_o), (bias_e, bias_o) = self._masks, self._bias
+        return _unpack_halves((even & mask_e) + bias_e - (te & mask_e),
+                              (odd & mask_o) + bias_o - (to & mask_o), width, d, m)
 
 
 @functools.lru_cache(maxsize=32)
@@ -305,8 +415,7 @@ def poly_mul_mod(a: ModPoly, b: ModPoly, f: ModPoly) -> ModPoly:
     counter = active_counter()
     if counter is not None:
         counter.poly_mults += 1
-    prod = _mul_coeffs(a.coeffs, b.coeffs, f.modulus)
-    return ModPoly(f.modulus, _reducer_for(f).reduce(prod))
+    return ModPoly(f.modulus, _reducer_for(f).mul(a.coeffs, b.coeffs))
 
 
 def poly_pow_mod(a: ModPoly, e: int, f: ModPoly) -> ModPoly:
@@ -324,14 +433,14 @@ def poly_pow_mod(a: ModPoly, e: int, f: ModPoly) -> ModPoly:
     if e == 0:
         return ModPoly.one(f.modulus)
     reducer = _reducer_for(f)
-    m = f.modulus
-    base = list(a.coeffs)
-    cur = base[:]
+    base = a.coeffs
+    packed_base = reducer.points(base)
+    cur = base
     for bit in bin(e)[3:]:
-        cur = reducer.reduce(_mul_coeffs(cur, cur, m))
+        cur = reducer.mul(cur, cur)
         if bit == "1":
-            cur = reducer.reduce(_mul_coeffs(cur, base, m))
-    return ModPoly(m, cur)
+            cur = reducer.mul(cur, base, packed_base)
+    return ModPoly(f.modulus, cur)
 
 
 def random_poly(max_deg_exclusive: int, modulus: int, seed: int) -> ModPoly:
@@ -357,32 +466,49 @@ def poly_is_unit_mod(u: ModPoly, f: ModPoly) -> UnitOutcome:
     (f when u is zero), and FactorFound(d) as soon as a leading-coefficient
     inversion exposes a proper divisor d of N.
     """
+    out = _euclid(u, f, bezout=True)
+    if isinstance(out, FactorFound):
+        return out
+    g, s = out
+    if len(g) > 1:
+        return NonUnit(ModPoly(f.modulus, g))
+    return Unit(ModPoly(f.modulus, _reducer_for(f).reduce(list(s.coeffs))))
+
+
+def _euclid(u: ModPoly, f: ModPoly, bezout: bool):
+    """Euclid on f and u over Z/NZ: FactorFound(d) as soon as a leading
+    coefficient exposes a proper divisor d of N, else (g, s) with g the
+    coefficients of the monic gcd (f when u is zero) and, when bezout is
+    set, s with s*u = g mod f (None otherwise).  Callers that read only the
+    gcd leave bezout off and skip the s-track."""
     if u.modulus != f.modulus:
         raise ValueError("modulus mismatch")
     if not f.is_monic() or f.degree < 1:
         raise ValueError("modulus polynomial must be monic of degree >= 1")
     if u.degree >= f.degree:
         raise ValueError("need deg u < deg f")
-    if u.is_zero():
-        return NonUnit(f)
     m = f.modulus
     # invariant: r_i == s_i * u  (mod f); f itself enters with s = 0
-    r0, s0 = f, ModPoly.zero(m)
-    r1, s1 = u, ModPoly.one(m)
-    while True:
-        lead = r1.coeffs[-1]
+    r0, s0 = list(f.coeffs), ModPoly.zero(m) if bezout else None
+    r1, s1 = list(u.coeffs), ModPoly.one(m) if bezout else None
+    while r1:
+        lead = r1[-1]
         if lead != 1:
             out = try_invert(lead, m)
             if isinstance(out, FactorFound):
                 return out
-            r1 = ModPoly(m, [c * out.value for c in r1.coeffs])
-            s1 = ModPoly(m, [c * out.value for c in s1.coeffs])
-        if r1.degree == 0:
-            return Unit(ModPoly(m, _reducer_for(f).reduce(list(s1.coeffs))))
+            r1 = [c * out.value % m for c in r1]
+            if bezout:
+                s1 = ModPoly(m, [c * out.value for c in s1.coeffs])
+        if len(r1) == 1:
+            return r1, s1
         # long-divide r0 by the now monic r1, updating the s-track alongside
-        c, db = list(r0.coeffs), r1.degree
-        _divmod_schoolbook(c, r1.coeffs, m)
-        r0, s0, r1, s1 = (r1, s1, ModPoly(m, c[:db]),
-                          s0 - ModPoly(m, _mul_coeffs(c[db:], s1.coeffs, m)))
-        if r1.is_zero():
-            return NonUnit(r0)
+        db = len(r1) - 1
+        _divmod_schoolbook(r0, r1, m)
+        if bezout:
+            s0, s1 = s1, s0 - ModPoly(m, _mul_coeffs(r0[db:], s1.coeffs, m))
+        del r0[db:]
+        while r0 and r0[-1] == 0:
+            r0.pop()
+        r0, r1 = r1, r0
+    return r0, s0

@@ -216,10 +216,16 @@ def combined_test(n: int, f: ModPoly, seed: int) -> Verdict:
 
 
 def target_degree(n: int, config: PipelineConfig) -> int:
-    """Degree target: the override, or ceil(floor_log2(n)**c), at least 2."""
+    """Degree target: the override, or ceil(floor_log2(n)**c), at least 2.
+
+    Raises ValueError when floor_log2(n)**c is too large for a float."""
     if config.degree_override is not None:
         return config.degree_override
-    return max(2, math.ceil(floor_log2(n) ** float(config.c)))
+    try:
+        return max(2, math.ceil(floor_log2(n) ** float(config.c)))
+    except OverflowError:
+        raise ValueError(
+            f"degree target floor_log2(N)^c overflows at c = {config.c}") from None
 
 
 def _random_monic(n: int, degree: int, rng: random.Random) -> ModPoly:

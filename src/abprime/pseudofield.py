@@ -50,9 +50,9 @@ from .periodsys import (
 )
 from .polyring import (
     ModPoly,
-    NonUnit,
     Unit,
     UnitOutcome,
+    _euclid,
     _mul_coeffs,
     poly_is_unit_mod,
     poly_mul_mod,
@@ -818,10 +818,10 @@ def construct_poly_pipeline(
     f = ModPoly(n, coeffs)
     if len(polys) > 1:
         derivative = ModPoly(n, [k * c for k, c in enumerate(coeffs)][1:])
-        out = poly_is_unit_mod(derivative, f)
+        out = _euclid(derivative, f, bezout=False)
         if isinstance(out, FactorFound):
             return out
-        if isinstance(out, NonUnit):
+        if len(out[0]) > 1:
             raise TensorDependency(
                 f"the composed product of degree {f.degree} is not squarefree mod {n}")
     if not degree_target <= f.degree < 2 * degree_target:

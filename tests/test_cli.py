@@ -199,6 +199,17 @@ def test_bench_rejects_nonpositive_trials(capsys):
         assert out == "", argv
 
 
+def test_large_c_is_usage_error(capsys):
+    # floor_log2(N)^c overflows a float: a usage error, not a traceback
+    # under the COMPOSITE exit code
+    for argv in (["isprime", "97", "--c", "1000"],
+                 ["bench", "--bits", "64", "--c", "1000"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 64, argv
+        assert out == "", argv
+        assert err.startswith("error: ") and "overflows" in err, argv
+
+
 def test_compute_ratio():
     assert compute_ratio(1000, Fraction(-2)) == 500
     assert compute_ratio(847000, Fraction(-847)) == 1000

@@ -251,6 +251,56 @@ def test_mul_mod_matches_schoolbook_remainder_property(operands):
     assert got == ModPoly(m, expected)
 
 
+def _reference_pow(a, e, f, m):
+    # right to left, by schoolbook products and schoolbook division
+    result, square = [1], list(a)
+    while e:
+        if e & 1:
+            result = _schoolbook_remainder(_mul_schoolbook(result, square, m), f, m) \
+                if result and square else []
+        e >>= 1
+        if e:
+            square = _schoolbook_remainder(_mul_schoolbook(square, square, m), f, m) \
+                if square else []
+    return result
+
+
+def _stress_vector(rnd, m, size):
+    # all m - 1 a quarter of the time: the largest slot sums the fused
+    # reduction's bias has to cover
+    return [m - 1] * size if rnd.random() < 0.25 else _vector(rnd, m, size)
+
+
+@st.composite
+def _pow_operands(draw):
+    # deg f on both sides of _NEWTON_MIN_DEGREE; bases of odd and even
+    # length, and the short bases x, x + 1, a constant and zero.  Hypothesis
+    # draws only a seed, so the shapes spread as evenly as random.Random's.
+    rnd = random.Random(draw(st.integers(0, 2**64)))
+    m = (rnd.choice([2, 15, 341, 2**61 - 1]) if rnd.random() < 0.4
+         else rnd.randrange(2, 2**rnd.randint(2, 256) + 1))
+    d = (rnd.randint(1, _NEWTON_MIN_DEGREE - 1) if rnd.random() < 0.3
+         else rnd.randint(_NEWTON_MIN_DEGREE, _NEWTON_MIN_DEGREE + 60))
+    f = _stress_vector(rnd, m, d) + [1]
+    kind = rnd.choice(["long", "long", "long", "x", "x+1", "const", "zero"])
+    if kind == "long":
+        a = _stress_vector(rnd, m, rnd.randint(min(_KRONECKER_MIN, d), d))
+    else:
+        a = {"x": [0, 1], "x+1": [1, 1], "const": [rnd.randrange(m)], "zero": []}[kind][:d]
+    b = _stress_vector(rnd, m, rnd.randint(0, d))
+    return m, a, b, f, rnd.randrange(601)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_pow_operands())
+def test_pow_and_mul_match_schoolbook_property(operands):
+    m, a, b, f, e = operands
+    fp, ap, bp = ModPoly(m, f), ModPoly(m, a), ModPoly(m, b)
+    assert poly_pow_mod(ap, e, fp) == ModPoly(m, _reference_pow(a, e, f, m))
+    assert poly_mul_mod(ap, bp, fp) == ModPoly(m, _schoolbook_remainder(
+        _mul_schoolbook(a, b, m) if a and b else [], f, m))
+
+
 def test_random_poly_determinism_and_support():
     a = random_poly(5, 97, 12345)
     b = random_poly(5, 97, 12345)

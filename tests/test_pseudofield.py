@@ -531,8 +531,7 @@ def test_construct_pipeline_not_squarefree(monkeypatch):
     # no input is known where f' and f share a monic factor mod N without
     # exposing a divisor; the outcome is TensorDependency, as for the fold
     import abprime.pseudofield as pf
-    from abprime.polyring import NonUnit
-    monkeypatch.setattr(pf, "poly_is_unit_mod", lambda u, f: NonUnit(f))
+    monkeypatch.setattr(pf, "_euclid", lambda u, f, bezout: (list(f.coeffs), None))
     with pytest.raises(TensorDependency, match="not squarefree"):
         construct_poly_pipeline(101, 30)
 
