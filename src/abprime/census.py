@@ -14,9 +14,11 @@ carries the applicable analytic bound so callers can flag any violation
 (the falsification signal).
 
 Size limits are fixed constants: FACTOR_LIMIT bounds n for factoring,
-MR_LIMIT the Miller-Rabin census, EXTENSION_LIMIT the field size p^d and
-MOD_N_LIMIT the mod-(N, f) search space N^d.  Larger instances raise
-DeskLimitError before any enumeration starts.
+MR_LIMIT the Miller-Rabin census, EXTENSION_LIMIT the field size p^d of the
+root count and the irreducibility check, and ENUMERATION_LIMIT the work of
+an identity census, (number of h) * 2 binary_method_mults(n) * deg f, at
+one to two microseconds a unit.  Larger instances raise DeskLimitError
+before any enumeration starts.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .instrument import binary_method_mults
 from .intarith import decompose_two_power, factorize
 from .periodsys import is_small_prime
 from .polyring import ModPoly, _euclid, poly_pow_mod
@@ -44,7 +47,7 @@ __all__ = [
 FACTOR_LIMIT = 10**12
 MR_LIMIT = 10**6
 EXTENSION_LIMIT = 10**6
-MOD_N_LIMIT = 10**7
+ENUMERATION_LIMIT = 2 * 10**7
 
 
 class DeskLimitError(ValueError):
@@ -187,7 +190,12 @@ def root_count_in_extension(n: int, p: int, f: ModPoly) -> int:
 
 def _identity_count(n: int, base: int, d: int, f: ModPoly) -> int:
     """Count h (coefficient tuples over [0, base) of length d) with
-    (h+1)^n = h^n + 1 mod f."""
+    (h+1)^n = h^n + 1 mod f; DeskLimitError first when the work exceeds
+    ENUMERATION_LIMIT."""
+    work = base**d * 2 * binary_method_mults(n) * d
+    if work > ENUMERATION_LIMIT:
+        raise DeskLimitError(f"census work {work} for {base}^{d} elements "
+                             f"exceeds the limit {ENUMERATION_LIMIT}")
     count = 0
     for coeffs in itertools.product(range(base), repeat=d):
         h = ModPoly(base, coeffs)
@@ -238,7 +246,7 @@ def ab_failure_census_mod_p(n: int, p: int, f: ModPoly) -> CensusReport:
 def ab_failure_census_mod_N(n: int, f: ModPoly) -> CensusReport:
     """Exact count of h over Z/NZ, deg h < deg f, passing the identity mod (N, f).
 
-    Tiny instances only (N^deg f capped).  The bound is the multi-factor
+    Tiny instances only (the work is capped).  The bound is the multi-factor
     form N^r / prod p_i^(deg f) over the r distinct prime factors.
     """
     if f.modulus != n:
@@ -251,8 +259,6 @@ def ab_failure_census_mod_N(n: int, f: ModPoly) -> CensusReport:
     factors = factorize_desk(n)
     if len(factors) == 1 and factors[0][1] == 1:
         raise ValueError(f"{n} is prime; the census needs a composite")
-    if n**d > MOD_N_LIMIT:
-        raise DeskLimitError(f"search space {n}^{d} exceeds the limit {MOD_N_LIMIT}")
     total = n**d
     failing = _identity_count(n, n, d, f)
     r = len(factors)

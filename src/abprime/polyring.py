@@ -17,14 +17,14 @@ square), and the product's even and odd coefficients are (h+ + h-) >> 1
 and (h+ - h-) >> (b + 1), both exact.  Two products of half the bits
 replace one.
 
-Reduction by a monic f has a schoolbook path and, from _NEWTON_MIN_DEGREE
-on, a Newton-reciprocal path that _Reducer fuses with the multiplication:
-the product stays packed, only the top slots (for the quotient) and the
-remainder's d slots are unpacked, and the remainder is formed on the packs
-with a bias that keeps every slot nonnegative (see _Reducer).  The
-schoolbook division runs in place and leaves the quotient above the
-remainder, so Euclid uses the same loop.  The paths agree coefficient for
-coefficient; thresholds are tuning constants only.
+A ring multiplication mod a monic f follows the same rule: with an operand
+shorter than _KRONECKER_MIN it is schoolbook, then schoolbook division;
+otherwise _Reducer keeps the KS2 product packed through a Newton
+reduction, unpacks only the top slots (for the quotient) and the d slots
+of the remainder, formed on the packs with a bias that keeps every slot
+nonnegative.  The schoolbook division runs in place and leaves the quotient
+above the remainder, so Euclid uses the same loop.  The paths agree
+coefficient for coefficient; the threshold is a tuning constant only.
 
 Text serialization is a single line ``N; c0,c1,...,cd`` with decimal
 integers, index = degree.
@@ -51,7 +51,6 @@ __all__ = [
 ]
 
 _KRONECKER_MIN = 16  # shorter length below which schoolbook wins
-_NEWTON_MIN_DEGREE = 48
 
 
 class ModPoly:
@@ -280,10 +279,9 @@ def _divmod_schoolbook(c: list[int], f: Sequence[int], m: int) -> None:
 class _Reducer:
     """Ring multiplication modulo one fixed monic f of degree d.
 
-    Below _NEWTON_MIN_DEGREE a product is divided by schoolbook.  From there
-    on, mul is one fused Kronecker pass, except that a product with an
-    operand shorter than _KRONECKER_MIN is schoolbook and reduced from its
-    list by the same steps.  The slot width is fixed per f at
+    A product with an operand shorter than _KRONECKER_MIN is schoolbook
+    and divided by schoolbook; every other product is one fused Kronecker
+    pass.  The slot width is fixed per f at
     W = ceil((2 bits(m) + bits(d) + 2) / 8) bytes, and the packed images at
     +-2^(4W) of the Newton reciprocal rev(f)^-1 mod x^(d-1) and of f mod x^d
     are computed once.  For c = a*b = q*f + r of length n:
@@ -334,20 +332,16 @@ class _Reducer:
         return g
 
     def reduce(self, c: list[int]) -> list[int]:
-        """c mod f for a list c of length below 2d with entries in [0, m)."""
-        if len(c) <= self.d:
-            return c
-        if self.d < _NEWTON_MIN_DEGREE:
+        """c mod f, in place, for a list c with entries in [0, m)."""
+        if len(c) > self.d:
             _divmod_schoolbook(c, self.f, self.m)
             del c[self.d:]
-            return c
-        width = self._setup()
-        return self._remainder(_pack(c[0::2], width), _pack(c[1::2], width), len(c))
+        return c
 
     def points(self, a: Sequence[int]) -> tuple[int, int] | None:
         """The packed images of a, for passing to mul with a as its fixed
         second operand; None where mul does not pack a."""
-        if self.d < _NEWTON_MIN_DEGREE or len(a) < _KRONECKER_MIN:
+        if len(a) < _KRONECKER_MIN:
             return None
         return _points(a, self._setup())
 
@@ -356,8 +350,6 @@ class _Reducer:
         """a*b mod f for lists of length at most d with entries in [0, m);
         pb, when given, is points(b)."""
         m, d = self.m, self.d
-        if d < _NEWTON_MIN_DEGREE:
-            return self.reduce(_mul_coeffs(a, b, m))
         if not a or not b:
             return []
         if len(a) < _KRONECKER_MIN or len(b) < _KRONECKER_MIN:

@@ -205,9 +205,24 @@ def test_ab_census_mod_N_validation():
         ab_failure_census_mod_N(15, ModPoly(15, [3]))  # constant f
     with pytest.raises(ValueError):
         ab_failure_census_mod_N(13, ModPoly(13, [1, 0, 1]))  # prime N
-    for d in (6, 7):  # 15^6 and 15^7 both exceed 10^7
+    for d in (6, 7):  # 15^6 and 15^7 elements: work 8.2e8 and 1.4e10
         with pytest.raises(DeskLimitError):
             ab_failure_census_mod_N(15, ModPoly(15, [0] * d + [1]))
+
+
+def test_identity_census_work_is_capped(monkeypatch):
+    # inside the field-size cap (997^2, 7^7) and the old N^d cap (3161^2),
+    # these ran for minutes; each is refused before its first exponentiation
+    def enumerate_(*args):
+        raise AssertionError("the enumeration started")
+
+    monkeypatch.setattr("abprime.census.poly_pow_mod", enumerate_)
+    with pytest.raises(DeskLimitError):
+        ab_failure_census_mod_p(993012, 997, ModPoly(997, [-2, 0, 1]))
+    with pytest.raises(DeskLimitError):
+        ab_failure_census_mod_p(823536, 7, ModPoly(7, [-1, -1] + [0] * 5 + [1]))
+    with pytest.raises(DeskLimitError):
+        ab_failure_census_mod_N(3161, ModPoly(3161, [1, 1, 1]))
 
 
 def test_ab_census_21():

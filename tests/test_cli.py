@@ -146,6 +146,15 @@ def test_census_ab_p_root_count_mismatch(tmp_path, capsys, monkeypatch):
     assert "root-count mismatch: 3 != 4" in err
 
 
+def test_census_ab_p_work_cap_is_usage_error(tmp_path, capsys):
+    poly = tmp_path / "f.poly"
+    poly.write_text(ModPoly(997, [-2, 0, 1]).to_line() + "\n")
+    code, out, err = run(capsys, "census", "ab-p", "993012", "997", "--f", str(poly))
+    assert code == 64
+    assert out == ""
+    assert "exceeds the limit" in err
+
+
 def test_census_ab_n(tmp_path, capsys):
     poly = tmp_path / "f.poly"
     poly.write_text(ModPoly(15, [2, 1, 1]).to_line() + "\n")

@@ -18,7 +18,6 @@ from abprime import (
 )
 from abprime.polyring import (
     _KRONECKER_MIN,
-    _NEWTON_MIN_DEGREE,
     _divmod_schoolbook,
     _mul_coeffs,
     _mul_kronecker,
@@ -149,7 +148,9 @@ def test_reduction_paths_agree():
     rng = random.Random(14)
     for _ in range(20):
         m = rng.randint(2, 10**6)
-        d = rng.randint(50, 90)  # above the Newton threshold
+        # deg f on both sides of _KRONECKER_MIN: full-length operands take
+        # the schoolbook division below it and the fused pass from it on
+        d = rng.randint(_KRONECKER_MIN // 2, 4 * _KRONECKER_MIN)
         f = ModPoly(m, [rng.randrange(m) for _ in range(d)] + [1])
         a = ModPoly(m, [rng.randrange(m) for _ in range(d)])
         b = ModPoly(m, [rng.randrange(m) for _ in range(d)])
@@ -201,9 +202,9 @@ def _division_operands(draw):
 
 @st.composite
 def _ring_operands(draw):
-    # deg f on both sides of _NEWTON_MIN_DEGREE
+    # deg f on both sides of _KRONECKER_MIN
     m, rnd = draw(_MODULI), draw(st.randoms(use_true_random=False))
-    d = draw(st.integers(1, _NEWTON_MIN_DEGREE + 40))
+    d = draw(st.integers(1, 6 * _KRONECKER_MIN))
     a = _vector(rnd, m, draw(st.integers(0, d)))
     b = _vector(rnd, m, draw(st.integers(0, d)))
     return m, a, b, _vector(rnd, m, d) + [1]
@@ -273,14 +274,14 @@ def _stress_vector(rnd, m, size):
 
 @st.composite
 def _pow_operands(draw):
-    # deg f on both sides of _NEWTON_MIN_DEGREE; bases of odd and even
+    # deg f on both sides of _KRONECKER_MIN; bases of odd and even
     # length, and the short bases x, x + 1, a constant and zero.  Hypothesis
     # draws only a seed, so the shapes spread as evenly as random.Random's.
     rnd = random.Random(draw(st.integers(0, 2**64)))
     m = (rnd.choice([2, 15, 341, 2**61 - 1]) if rnd.random() < 0.4
          else rnd.randrange(2, 2**rnd.randint(2, 256) + 1))
-    d = (rnd.randint(1, _NEWTON_MIN_DEGREE - 1) if rnd.random() < 0.3
-         else rnd.randint(_NEWTON_MIN_DEGREE, _NEWTON_MIN_DEGREE + 60))
+    d = (rnd.randint(1, _KRONECKER_MIN - 1) if rnd.random() < 0.3
+         else rnd.randint(_KRONECKER_MIN, _KRONECKER_MIN + 92))
     f = _stress_vector(rnd, m, d) + [1]
     kind = rnd.choice(["long", "long", "long", "x", "x+1", "const", "zero"])
     if kind == "long":
@@ -299,6 +300,20 @@ def test_pow_and_mul_match_schoolbook_property(operands):
     assert poly_pow_mod(ap, e, fp) == ModPoly(m, _reference_pow(a, e, f, m))
     assert poly_mul_mod(ap, bp, fp) == ModPoly(m, _schoolbook_remainder(
         _mul_schoolbook(a, b, m) if a and b else [], f, m))
+
+
+def test_full_length_pow_takes_fused_pass():
+    # one kernel rule: at deg f = 20 >= _KRONECKER_MIN a full-length base
+    # is multiplied by the fused Kronecker pass, which sets up its slots
+    rng = random.Random(18)
+    m, d = 2**61 - 1, 20
+    assert d >= _KRONECKER_MIN
+    f = ModPoly(m, [rng.randrange(m) for _ in range(d)] + [1])
+    a = ModPoly(m, [rng.randrange(m) for _ in range(d - 1)] + [1])
+    _reducer_for.cache_clear()
+    got = poly_pow_mod(a, 1000, f)
+    assert _reducer_for(f)._width is not None
+    assert got == ModPoly(m, _reference_pow(list(a.coeffs), 1000, list(f.coeffs), m))
 
 
 def test_random_poly_determinism_and_support():

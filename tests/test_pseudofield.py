@@ -67,10 +67,10 @@ def test_cyclotomic_arithmetic_basics():
 
 
 def test_cyclotomic_pow_matches_repeated_mul():
-    # deg Phi_r = r - 1 lies below _NEWTON_MIN_DEGREE for r = 7, 31 and above
-    # it for r = 101, so both reduction paths are exercised
-    from abprime.polyring import _NEWTON_MIN_DEGREE
-    assert 31 - 1 < _NEWTON_MIN_DEGREE <= 101 - 1
+    # deg Phi_r = r - 1 lies below _KRONECKER_MIN for r = 7 and above it for
+    # r = 31, 101, so both the schoolbook and the fused path are exercised
+    from abprime.polyring import _KRONECKER_MIN
+    assert 7 - 1 < _KRONECKER_MIN <= 31 - 1 < 101 - 1
     rng = random.Random(41)
     for m in (15, 341, 97, 2**61 - 1):
         for r in (7, 31, 101):
