@@ -1,0 +1,107 @@
+"""Elements per second of `ab_failure_census_mod_p`, per census class.
+
+    python3 scripts/bench_census.py --src SRC --label NAME [--seed 1] [--out BENCH_census.json]
+
+Imports the library from SRC and times `ab_failure_census_mod_p` on the
+calls of perfbench's census-exact workload for SEED, grouped by the
+(p, deg f) class, each call as the best of REPEATS runs.  A class's rate is
+its p^deg f elements summed over its calls, divided by the summed best
+times.  Then it times, once each, the two inputs just under
+census.ENUMERATION_LIMIT: 7^6 elements with n = 700 and 409^2 with
+n = 413499, with the first monic irreducible f of that degree in
+lexicographic order of its coefficients from x^(d-1) down to 1.  The rows
+are stored under NAME in the output file, next to the runs already
+recorded there under other names.
+"""
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import platform
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REPEATS = 3
+NEAR_CAP = ((700, 7, 6), (413499, 409, 2))
+
+
+def first_irreducible(p: int, d: int):
+    from abprime import ModPoly, is_irreducible_mod_p
+
+    for low in itertools.product(range(p), repeat=d):
+        f = ModPoly(p, list(low[::-1]) + [1])
+        if is_irreducible_mod_p(f, p):
+            return f
+    raise ValueError(f"no irreducible of degree {d} mod {p}")
+
+
+def seconds(run, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", required=True, help="directory holding the abprime package")
+    ap.add_argument("--label", required=True, help="name to store the run under")
+    ap.add_argument("--seed", type=int, default=1, help="census-exact workload seed")
+    ap.add_argument("--out", default="BENCH_census.json")
+    args = ap.parse_args()
+    src = os.path.abspath(args.src)
+    sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
+    from workloads import census_exact
+
+    from abprime import ModPoly, ab_failure_census_mod_p
+    from abprime.census import ENUMERATION_LIMIT
+
+    classes: dict[str, dict] = {}
+    for call in census_exact(args.seed):
+        if call.kind != "ab_failure_census_mod_p":
+            continue
+        a = call.args
+        f = ModPoly.from_line(a["f"])
+        t = seconds(lambda: ab_failure_census_mod_p(a["n"], a["p"], f), REPEATS)
+        row = classes.setdefault(call.group, {"calls": 0, "elements": 0, "seconds": 0.0})
+        row["calls"] += 1
+        row["elements"] += a["p"] ** a["deg_f"]
+        row["seconds"] += t
+    for group, row in classes.items():
+        row["elements_per_s"] = round(row["elements"] / row["seconds"])
+        row["seconds"] = round(row["seconds"], 5)
+        print(group, row, flush=True)
+    near_cap = {}
+    for n, p, d in NEAR_CAP:
+        f = first_irreducible(p, d)
+        t = seconds(lambda: ab_failure_census_mod_p(n, p, f), 1)
+        near_cap[f"{p}^{d}"] = {"n": n, "f": f.to_line(), "seconds": round(t, 3),
+                                "elements_per_s": round(p**d / t)}
+        print(p, d, near_cap[f"{p}^{d}"], flush=True)
+    record = {}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            record = json.load(fh)
+    record.setdefault("runs", {})[args.label] = {
+        "seed": args.seed,
+        "repeats": REPEATS,
+        "enumeration_limit": ENUMERATION_LIMIT,
+        "classes": classes,
+        "near_cap": near_cap,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+    }
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

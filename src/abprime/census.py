@@ -16,17 +16,17 @@ carries the applicable analytic bound so callers can flag any violation
 Size limits are fixed constants: FACTOR_LIMIT bounds n for factoring,
 MR_LIMIT the Miller-Rabin census, EXTENSION_LIMIT the field size p^d of the
 root count and the irreducibility check, and ENUMERATION_LIMIT the work of
-an identity census, (number of h) * 2 binary_method_mults(n) * deg f, at
-one to two microseconds a unit.  Larger instances raise DeskLimitError
-before any enumeration starts.
+an identity census, (number of h) * 2 binary_method_mults(n) * deg f, which
+the numpy-batched enumeration does at 0.01 to 0.02 microseconds a unit near
+the cap.  Larger instances raise DeskLimitError before any enumeration
+starts.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .instrument import binary_method_mults
+from .instrument import active_counter, binary_method_mults
 from .intarith import decompose_two_power, factorize
 from .periodsys import is_small_prime
 from .polyring import ModPoly, _euclid, poly_pow_mod
@@ -95,7 +95,7 @@ def _count_nonwitnesses_range(n: int, s: int, t: int) -> int:
     n <= MR_LIMIT, so every product of two residues, below (n-1)^2 < 2^63,
     fits in int64.
     """
-    # imported here: numpy costs most of `import abprime` and only this uses it
+    # imported here: numpy costs most of `import abprime`
     import numpy as np
 
     a = np.arange(1, n, dtype=np.int64)
@@ -188,21 +188,77 @@ def root_count_in_extension(n: int, p: int, f: ModPoly) -> int:
     return len(gcd) - 1
 
 
-def _identity_count(n: int, base: int, d: int, f: ModPoly) -> int:
-    """Count h (coefficient tuples over [0, base) of length d) with
-    (h+1)^n = h^n + 1 mod f; DeskLimitError first when the work exceeds
-    ENUMERATION_LIMIT."""
-    work = base**d * 2 * binary_method_mults(n) * d
+def _check_work(n: int, m: int, d: int) -> None:
+    """DeskLimitError when the identity census of the m^d elements of degree
+    < d over Z/mZ, counted as (m^d) * 2 binary_method_mults(n) * d units of
+    work, exceeds ENUMERATION_LIMIT."""
+    work = m**d * 2 * binary_method_mults(n) * d
     if work > ENUMERATION_LIMIT:
-        raise DeskLimitError(f"census work {work} for {base}^{d} elements "
+        raise DeskLimitError(f"census work {work} for {m}^{d} elements "
                              f"exceeds the limit {ENUMERATION_LIMIT}")
+
+
+def _identity_count(n: int, f: ModPoly) -> int:
+    """Count every h over Z/mZ (m = f.modulus), deg h < d = deg f, with
+    (h+1)^n = h^n + 1 mod f, for monic f and n >= 2; _check_work first.
+
+    h is numbered by its coefficients as base-m digits, the constant term
+    lowest.  A block of consecutive numbers is held as an int64 array of
+    shape (d, count), one row per coefficient, and T = h^n is computed for
+    the whole block by one left-to-right binary exponentiation, tallied as
+    binary_method_mults(n) ring multiplications per h.  h + 1 changes the
+    constant digit only, mod m, so it stays in the block of h when a block
+    is a whole number of runs of m numbers: max(1, 2^16 // m) runs.  The
+    count is the number of h with T[h+1] = T[h] + 1.
+
+    A block exceeds 2^16 elements only when m > 2^16, where the work cap
+    leaves d = 1 and m below 6*10^5.  The cap also bounds m^d by
+    ENUMERATION_LIMIT / 2, so every coefficient, within (2d-1)(m-1)^2 < 2^47
+    of zero before the last reduction mod m, fits in int64.  The two largest
+    inputs under the cap take 0.008 and 0.021 microseconds a unit of work
+    on a 2-core VM; a census of a few hundred elements is bound by numpy's
+    per-call overhead instead, about 1 ms.
+    """
+    # imported here, as in _count_nonwitnesses_range
+    import numpy as np
+
+    m, d = f.modulus, f.degree
+    f_low = np.array(f.coeffs[:d], dtype=np.int64)[:, None]
+
+    def mul(a, b):
+        # schoolbook product, then the top coefficients, each reduced mod m,
+        # folded down by x^d = -f_low
+        c = np.zeros((2 * d - 1, a.shape[1]), dtype=np.int64)
+        for i in range(d):
+            c[i:i + d] += a[i] * b
+        for k in range(2 * d - 2, d - 1, -1):
+            c[k - d:k] -= c[k] % m * f_low
+        return c[:d] % m
+
+    total = m**d
+    counter = active_counter()
+    if counter is not None:
+        counter.poly_mults += total * binary_method_mults(n)
+    step = max(1, (1 << 16) // m) * m
+    bits = bin(n)[3:]
     count = 0
-    for coeffs in itertools.product(range(base), repeat=d):
-        h = ModPoly(base, coeffs)
-        lhs = poly_pow_mod(h.add_constant(1), n, f)
-        rhs = poly_pow_mod(h, n, f).add_constant(1)
-        if lhs == rhs:
-            count += 1
+    for start in range(0, total, step):
+        index = np.arange(start, min(start + step, total), dtype=np.int64)
+        h = np.empty((d, len(index)), dtype=np.int64)
+        for j in range(d):
+            h[j] = index // m**j % m
+        t = h
+        for bit in bits:
+            t = mul(t, t)
+            if bit == "1":
+                t = mul(t, h)
+        # the position of h + 1 in the block: one on, or m - 1 back at a
+        # constant digit of m - 1
+        after = np.arange(1, len(index) + 1)
+        after[m - 1::m] -= m
+        plus_one = t.copy()
+        plus_one[0] = (plus_one[0] + 1) % m
+        count += int((t[:, after] == plus_one).all(axis=0).sum())
     return count
 
 
@@ -231,15 +287,18 @@ def ab_failure_census_mod_p(n: int, p: int, f: ModPoly) -> CensusReport:
     root-counting argument actually controls.
     """
     fp, d = _check_extension_args(n, p, f)
+    _check_work(n, p, d)
+    deg_g = _deg_g_mod_p(n, p)
+    factors = factorize_desk(n)
     total = p**d
-    failing = _identity_count(n, p, d, fp)
+    failing = _identity_count(n, fp)
     return CensusReport(
         subject=n,
         total=total,
         failing=failing,
         fraction=Fraction(failing, total),
-        bound=Fraction(_deg_g_mod_p(n, p), total),
-        factorization=tuple(factorize_desk(n)),
+        bound=Fraction(deg_g, total),
+        factorization=tuple(factors),
     )
 
 
@@ -259,8 +318,9 @@ def ab_failure_census_mod_N(n: int, f: ModPoly) -> CensusReport:
     factors = factorize_desk(n)
     if len(factors) == 1 and factors[0][1] == 1:
         raise ValueError(f"{n} is prime; the census needs a composite")
+    _check_work(n, n, d)
     total = n**d
-    failing = _identity_count(n, n, d, f)
+    failing = _identity_count(n, f)
     r = len(factors)
     bound = Fraction(n**r)
     for p, _ in factors:

@@ -1,5 +1,7 @@
+import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,9 +19,21 @@ from abprime import (
     factorize_desk,
     heuristic_class_scan,
     mr_nonwitness_census,
+    poly_pow_mod,
     root_count_in_extension,
 )
-from abprime.census import _deg_g_mod_p
+from abprime.census import _deg_g_mod_p, _identity_count
+
+
+def loop_identity_count(n, f):
+    """Reference for census._identity_count: two exponentiations per h."""
+    m, d = f.modulus, f.degree
+    count = 0
+    for coeffs in itertools.product(range(m), repeat=d):
+        h = ModPoly(m, coeffs)
+        if poly_pow_mod(h.add_constant(1), n, f) == poly_pow_mod(h, n, f).add_constant(1):
+            count += 1
+    return count
 
 
 def test_factorize_examples():
@@ -93,7 +107,7 @@ def test_mr_census_validation():
 
 
 def test_import_leaves_numpy_unloaded():
-    # numpy is loaded by the MR census when it runs, not by `import abprime`
+    # numpy is loaded by the censuses when they run, not by `import abprime`
     src = Path(__file__).resolve().parent.parent / "src"
     subprocess.run(
         [sys.executable, "-c", "import abprime, sys; assert 'numpy' not in sys.modules"],
@@ -162,7 +176,7 @@ def test_ab_census_mod_p_341():
     rep = ab_failure_census_mod_p(341, 11, f)
     with count_operations() as ops:
         assert rep.failing == root_count_in_extension(341, 11, f)
-    # the gcd count enumerates nothing; the 121 elements would cost 2914
+    # the gcd count enumerates nothing; the census charges 121 * 12
     assert ops.poly_mults < 100
     assert rep.fraction < Fraction(341, 121)
     assert rep.fraction <= rep.bound
@@ -182,22 +196,30 @@ def test_ab_census_mod_N_crt():
 
 def test_ab_census_mod_N_crt_with_reducible_parts():
     # x^2 + 1 splits mod 5, so the mod-5 side needs a raw enumeration
-    import itertools
-    from abprime import poly_pow_mod
-
-    def raw_count(p, f):
-        count = 0
-        for coeffs in itertools.product(range(p), repeat=f.degree):
-            h = ModPoly(p, coeffs)
-            if poly_pow_mod(h.add_constant(1), 15, f) == \
-                    poly_pow_mod(h, 15, f).add_constant(1):
-                count += 1
-        return count
-
     f15 = ModPoly(15, [1, 0, 1])
     rep = ab_failure_census_mod_N(15, f15)
-    assert rep.failing == raw_count(3, ModPoly(3, [1, 0, 1])) * \
-        raw_count(5, ModPoly(5, [1, 0, 1]))
+    assert rep.failing == loop_identity_count(15, ModPoly(3, [1, 0, 1])) * \
+        loop_identity_count(15, ModPoly(5, [1, 0, 1]))
+
+
+def test_identity_count_matches_loop():
+    rng = random.Random(2018)
+    cases = []
+    for p in (2, 3, 5, 7, 11, 13, 17):
+        for d in range(1, 5):
+            if p**d <= 5000:
+                f = ModPoly(p, [rng.randrange(p) for _ in range(d)] + [1])
+                cases += [(p ** rng.randint(1, 3), f), (rng.randrange(2, 500), f)]
+    for n in (15, 21, 35):  # f = (x - a) g, reducible mod every factor of N
+        for d in (2, 3) if n == 15 else (2,):
+            a, g = rng.randrange(n), [rng.randrange(n) for _ in range(d - 1)] + [1]
+            cases.append((n, ModPoly(n, [x - a * y for x, y in zip([0] + g, g + [0])])))
+    for n, f in cases:
+        assert _identity_count(n, f) == loop_identity_count(n, f), (n, f)
+    # 257^2 elements make two blocks of whole runs of 257, the second
+    # starting at 255 * 257; at n = 257 every h passes (Frobenius)
+    f = ModPoly(257, [3, 1, 1])
+    assert _identity_count(257, f) == loop_identity_count(257, f) == 257**2
 
 
 def test_ab_census_mod_N_validation():
@@ -210,19 +232,31 @@ def test_ab_census_mod_N_validation():
             ab_failure_census_mod_N(15, ModPoly(15, [0] * d + [1]))
 
 
-def test_identity_census_work_is_capped(monkeypatch):
-    # inside the field-size cap (997^2, 7^7) and the old N^d cap (3161^2),
-    # these ran for minutes; each is refused before its first exponentiation
+def _refuse_enumeration(monkeypatch):
     def enumerate_(*args):
         raise AssertionError("the enumeration started")
 
-    monkeypatch.setattr("abprime.census.poly_pow_mod", enumerate_)
+    monkeypatch.setattr("abprime.census._identity_count", enumerate_)
+
+
+def test_identity_census_work_is_capped(monkeypatch):
+    # inside the field-size cap (997^2, 7^7) and the old N^d cap (3161^2),
+    # these ran for minutes; each is refused before the enumeration
+    _refuse_enumeration(monkeypatch)
     with pytest.raises(DeskLimitError):
         ab_failure_census_mod_p(993012, 997, ModPoly(997, [-2, 0, 1]))
     with pytest.raises(DeskLimitError):
         ab_failure_census_mod_p(823536, 7, ModPoly(7, [-1, -1] + [0] * 5 + [1]))
     with pytest.raises(DeskLimitError):
         ab_failure_census_mod_N(3161, ModPoly(3161, [1, 1, 1]))
+
+
+@pytest.mark.parametrize("n, error", [(3 * 10**12 + 3, DeskLimitError), (9, ValueError)])
+def test_census_mod_p_refuses_before_enumerating(monkeypatch, n, error):
+    # n above FACTOR_LIMIT, and n a power of p (g vanishes mod p)
+    _refuse_enumeration(monkeypatch)
+    with pytest.raises(error):
+        ab_failure_census_mod_p(n, 3, ModPoly(3, [1, 0, 1]))
 
 
 def test_ab_census_21():
