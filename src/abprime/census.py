@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .instrument import active_counter, binary_method_mults
+from .instrument import active_counter, binary_method_mults, binary_power
 from .intarith import decompose_two_power, factorize
 from .periodsys import is_small_prime
 from .polyring import ModPoly, _euclid, poly_pow_mod
@@ -65,9 +65,12 @@ class CensusReport:
     subject: int
     total: int
     failing: int
-    fraction: Fraction
     bound: Fraction
     factorization: tuple[tuple[int, int], ...]
+
+    @property
+    def fraction(self) -> Fraction:
+        return Fraction(self.failing, self.total)
 
     def to_json_dict(self) -> dict:
         return {
@@ -92,22 +95,14 @@ def factorize_desk(n: int) -> list[tuple[int, int]]:
 def _count_nonwitnesses_range(n: int, s: int, t: int) -> int:
     """Nonwitness bases a in [1, n) counted exhaustively, vectorized.
 
-    n <= MR_LIMIT, so every product of two residues, below (n-1)^2 < 2^63,
+    n <= MR_LIMIT, so every product of two residues, below n^2 < 2^40,
     fits in int64.
     """
     # imported here: numpy costs most of `import abprime`
     import numpy as np
 
     a = np.arange(1, n, dtype=np.int64)
-    x = np.ones_like(a)
-    base = a.copy()
-    e = t
-    while e:
-        if e & 1:
-            x = x * base % n
-        e >>= 1
-        if e:
-            base = base * base % n
+    x = binary_power(a, t, lambda y: y * y % n, lambda y: y * a % n)
     nonwit = x == 1
     for _ in range(s):
         nonwit |= x == n - 1
@@ -139,7 +134,6 @@ def mr_nonwitness_census(n: int) -> CensusReport:
         subject=n,
         total=n - 1,
         failing=failing,
-        fraction=Fraction(failing, n - 1),
         bound=min(Fraction(1, 4), group_bound),
         factorization=tuple(factors),
     )
@@ -205,7 +199,7 @@ def _identity_count(n: int, f: ModPoly) -> int:
     h is numbered by its coefficients as base-m digits, the constant term
     lowest.  A block of consecutive numbers is held as an int64 array of
     shape (d, count), one row per coefficient, and T = h^n is computed for
-    the whole block by one left-to-right binary exponentiation, tallied as
+    the whole block by the binary_power ladder, tallied as
     binary_method_mults(n) ring multiplications per h.  h + 1 changes the
     constant digit only, mod m, so it stays in the block of h when a block
     is a whole number of runs of m numbers: max(1, 2^16 // m) runs.  The
@@ -240,18 +234,13 @@ def _identity_count(n: int, f: ModPoly) -> int:
     if counter is not None:
         counter.poly_mults += total * binary_method_mults(n)
     step = max(1, (1 << 16) // m) * m
-    bits = bin(n)[3:]
     count = 0
     for start in range(0, total, step):
         index = np.arange(start, min(start + step, total), dtype=np.int64)
         h = np.empty((d, len(index)), dtype=np.int64)
         for j in range(d):
             h[j] = index // m**j % m
-        t = h
-        for bit in bits:
-            t = mul(t, t)
-            if bit == "1":
-                t = mul(t, h)
+        t = binary_power(h, n, lambda y: mul(y, y), lambda y: mul(y, h))
         # the position of h + 1 in the block: one on, or m - 1 back at a
         # constant digit of m - 1
         after = np.arange(1, len(index) + 1)
@@ -296,7 +285,6 @@ def ab_failure_census_mod_p(n: int, p: int, f: ModPoly) -> CensusReport:
         subject=n,
         total=total,
         failing=failing,
-        fraction=Fraction(failing, total),
         bound=Fraction(deg_g, total),
         factorization=tuple(factors),
     )
@@ -329,7 +317,6 @@ def ab_failure_census_mod_N(n: int, f: ModPoly) -> CensusReport:
         subject=n,
         total=total,
         failing=failing,
-        fraction=Fraction(failing, total),
         bound=bound,
         factorization=tuple(factors),
     )
@@ -368,7 +355,6 @@ def heuristic_class_scan(k_max: int) -> list[CensusReport]:
             subject=n,
             total=census.total,
             failing=census.failing,
-            fraction=census.fraction,
             bound=lower,
             factorization=((p, 1), (q, 1)),
         ))

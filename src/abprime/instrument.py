@@ -1,4 +1,7 @@
-"""Opt-in operation counting for runtime-shape checks.
+"""The binary method of exponentiation, and opt-in operation counting.
+
+binary_power is the library's one square-and-multiply ladder, and
+binary_method_mults the number of multiplications it spends.
 
 Multiplication counts are the portable way to talk about the cost of the
 arithmetic kernels: wall-clock assertions are flaky, counter assertions are
@@ -13,7 +16,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-__all__ = ["OpCounter", "count_operations", "active_counter", "binary_method_mults"]
+__all__ = ["OpCounter", "count_operations", "active_counter", "binary_method_mults",
+           "binary_power"]
 
 
 @dataclass
@@ -53,3 +57,18 @@ def binary_method_mults(e: int) -> int:
     if e == 0:
         return 0
     return e.bit_length() + bin(e).count("1") - 2
+
+
+def binary_power(x, e: int, square, times_x):
+    """x^e for e >= 1 by left-to-right binary exponentiation (Knuth, TAOCP
+    Vol. 2, 4.6.3): square(y) = y*y once per bit of e below the top one, then
+    times_x(y) = y*x where that bit is set, binary_method_mults(e) calls in
+    all."""
+    if e < 1:
+        raise ValueError(f"need e >= 1, got {e}")
+    y = x
+    for bit in bin(e)[3:]:
+        y = square(y)
+        if bit == "1":
+            y = times_x(y)
+    return y

@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .instrument import active_counter, binary_method_mults
+from .instrument import active_counter, binary_method_mults, binary_power
 from .intarith import FactorFound, try_invert
 
 __all__ = [
@@ -411,11 +411,9 @@ def poly_mul_mod(a: ModPoly, b: ModPoly, f: ModPoly) -> ModPoly:
 
 
 def poly_pow_mod(a: ModPoly, e: int, f: ModPoly) -> ModPoly:
-    """a**e mod f by left-to-right binary exponentiation.
-
-    Uses bitlen(e) - 1 squarings plus popcount(e) - 1 multiplies, tallied
-    on the active OpCounter.
-    """
+    """a**e mod f by the binary_power ladder, whose binary_method_mults(e)
+    ring multiplications are tallied on the active OpCounter.  Each
+    multiply by a reuses the packed images of a."""
     if e < 0:
         raise ValueError("negative exponent")
     _check_ring_args(a, a, f)
@@ -427,12 +425,9 @@ def poly_pow_mod(a: ModPoly, e: int, f: ModPoly) -> ModPoly:
     reducer = _reducer_for(f)
     base = a.coeffs
     packed_base = reducer.points(base)
-    cur = base
-    for bit in bin(e)[3:]:
-        cur = reducer.mul(cur, cur)
-        if bit == "1":
-            cur = reducer.mul(cur, base, packed_base)
-    return ModPoly(f.modulus, cur)
+    return ModPoly(f.modulus, binary_power(
+        base, e, lambda y: reducer.mul(y, y),
+        lambda y: reducer.mul(y, base, packed_base)))
 
 
 def random_poly(max_deg_exclusive: int, modulus: int, seed: int) -> ModPoly:

@@ -237,11 +237,12 @@ def _random_monic(n: int, degree: int, rng: random.Random) -> ModPoly:
 def full_pipeline(n: int, config: PipelineConfig, seed: int) -> Verdict:
     """Construct a defining polynomial for n, then run the combined test.
 
-    The construction (period system -> tensored pseudofield) may itself
-    prove n composite, in which case that verdict is returned with the
-    divisor found.  When no polynomial of the target degree exists at this
-    size, the configured fallback policy decides between UNKNOWN and a
-    weakened run with a random monic f.
+    The construction (period system -> composed product of the period
+    polynomials, one Euclid for several pairs) may itself prove n
+    composite, in which case that verdict is returned with the divisor
+    found.  When no polynomial of the target degree exists at this size,
+    the configured fallback policy decides between UNKNOWN and a weakened
+    run with a random monic f.
     """
     # imported here: pseudofield sits above this module in the layer order
     from .pseudofield import Constructed, TensorDependency, construct_poly_pipeline

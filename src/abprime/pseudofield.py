@@ -166,24 +166,22 @@ class CyclotomicElt:
     def __neg__(self) -> "CyclotomicElt":
         return CyclotomicElt(self.modulus, self.r, [-a for a in self.coords])
 
+    def _phi_ring(self, op, arg) -> "CyclotomicElt":
+        # op(self, arg) in (Z/NZ[x])/(Phi_r), Phi_r = 1 + x + ... + x^(r-1):
+        # the power basis 1..zeta^(r-2) is its residue basis
+        m, r = self.modulus, self.r
+        p = op(ModPoly(m, self.coords), arg, ModPoly(m, [1] * r))
+        return CyclotomicElt(m, r, p.coeffs + (0,) * (r - 1 - len(p.coeffs)))
+
     def __mul__(self, other: "CyclotomicElt") -> "CyclotomicElt":
         self._compatible(other)
-        r, m = self.r, self.modulus
-        prod = _mul_coeffs(self.coords, other.coords, m)
-        slots = [0] * r
-        for k, c in enumerate(prod):
-            slots[k % r] = (slots[k % r] + c) % m
-        return CyclotomicElt.from_slots(m, r, slots)
+        return self._phi_ring(poly_mul_mod, ModPoly(self.modulus, other.coords))
 
     def scale(self, c: int) -> "CyclotomicElt":
         return CyclotomicElt(self.modulus, self.r, [c * a for a in self.coords])
 
     def pow(self, e: int) -> "CyclotomicElt":
-        # the power basis 1..zeta^(r-2) is the residue basis modulo
-        # Phi_r = 1 + x + ... + x^(r-1)
-        m, r = self.modulus, self.r
-        p = poly_pow_mod(ModPoly(m, self.coords), e, ModPoly(m, [1] * r))
-        return CyclotomicElt(m, r, p.coeffs + (0,) * (r - 1 - len(p.coeffs)))
+        return self._phi_ring(poly_pow_mod, e)
 
     def is_constant(self) -> bool:
         return all(c == 0 for c in self.coords[1:])

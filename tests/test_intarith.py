@@ -75,6 +75,31 @@ def test_mod_pow_exact_multiplication_count():
         assert ops.int_mults == binary_method_count(e), e
 
 
+def test_binary_power_spends_its_count():
+    from abprime.instrument import binary_method_mults, binary_power
+
+    rng = random.Random(9)
+    exponents = list(range(1, 4097)) + [rng.randrange(1, 2**200) for _ in range(20)]
+    for e in exponents:
+        m = rng.randint(2, 10**12)
+        x = rng.randrange(m)
+        calls = [0, 0]
+
+        def square(y):
+            calls[0] += 1
+            return y * y % m
+
+        def times_x(y):
+            calls[1] += 1
+            return y * x % m
+
+        assert binary_power(x, e, square, times_x) == pow(x, e, m), e
+        assert calls == [e.bit_length() - 1, bin(e).count("1") - 1], e
+        assert sum(calls) == binary_method_mults(e) == binary_method_count(e), e
+    with pytest.raises(ValueError):
+        binary_power(2, 0, None, None)
+
+
 def test_mod_pow_additivity():
     rng = random.Random(4)
     for _ in range(200):

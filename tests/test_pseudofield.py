@@ -83,9 +83,11 @@ def test_cyclotomic_pow_matches_repeated_mul():
 
 
 def test_cyclotomic_mul_matches_naive():
+    # r = 31, 101 put the fused Kronecker product mod Phi_r under this
+    # independent slot oracle as well as the schoolbook one
     rng = random.Random(40)
     for _ in range(50):
-        r = rng.choice([3, 5, 7, 11])
+        r = rng.choice([3, 5, 7, 11, 31, 101])
         m = rng.randint(2, 100)
         a = CyclotomicElt(m, r, [rng.randrange(m) for _ in range(r - 1)])
         b = CyclotomicElt(m, r, [rng.randrange(m) for _ in range(r - 1)])
