@@ -140,16 +140,17 @@ def mr_nonwitness_census(n: int) -> CensusReport:
 
 
 def _check_extension_args(n: int, p: int, f: ModPoly) -> tuple[ModPoly, int]:
-    if not is_small_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if n % p != 0:
-        raise ValueError(f"{p} does not divide {n}")
+    # the O(1) checks first: certifying p by trial division is O(sqrt p)
+    if p < 2 or n % p != 0:
+        raise ValueError(f"p = {p} must be a prime divisor of {n}")
     fp = ModPoly(p, f.coeffs)
     d = fp.degree
     if d < 1:
         raise ValueError("f must have degree >= 1")
     if p**d > EXTENSION_LIMIT:
         raise DeskLimitError(f"field size {p}^{d} exceeds the limit {EXTENSION_LIMIT}")
+    if not is_small_prime(p):
+        raise ValueError(f"p = {p} must be a prime divisor of {n}")
     if not is_irreducible_mod_p(fp, p):
         raise ValueError(f"f is reducible mod {p}; the residue ring is not a field")
     return fp, d

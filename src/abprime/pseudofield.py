@@ -8,15 +8,15 @@ Gaussian period eta_{r,q} is the sum of zeta^i over the index-q subgroup of
 (Z/rZ)^x, and the period polynomial f_{r,q} is the monic degree-q product
 of (x - tau eta) over the q cosets.
 
-f_{r,q} has integer coefficients that do not depend on N, so it is built
-over Z: in F_P for enough primes P = 1 (mod r), where the periods are plain
+f_{r,q} has integer coefficients that do not depend on N, so they are
+found in F_P for enough primes P = 1 (mod r), where the periods are plain
 residues, then combined by CRT and reduced mod N.  That f(eta) = 0 in
 (Z/NZ)[zeta_r] is asserted once per call, never assumed.  A period system's
 defining polynomial, the composed product of (x - alpha_i beta_j ...) over
-the roots of its period polynomials, is likewise built over Z, from power
-sums: p_k of the product is the product of the factors' p_k, and Newton's
-identities convert in both directions with divisions that are asserted
-exact.
+the roots of its period polynomials, is built in Z/NZ from power sums: p_k
+of the product is the product of the factors' p_k, and Newton's identities
+convert in both directions, dividing by k through try_invert; that the
+result has the product's power sums is asserted.
 
 A Pseudofield packages (N, f, deg f) for a monic f; its generator alpha is
 the residue of x and its distinguished endomorphism sigma is determined by
@@ -280,17 +280,37 @@ def period_conjugates(r: int, q: int, n: int) -> list[CyclotomicElt]:
 
 
 # ---------------------------------------------------------------------------
-# period polynomials and composed products over Z
+# period polynomials and composed products
 # ---------------------------------------------------------------------------
 
 def period_polynomial(r: int, q: int, n: int) -> ModPoly:
     """The monic degree-q polynomial with the conjugate periods as roots.
 
-    Built over Z by CRT over primes P = 1 (mod r) and reduced mod N; that
-    it vanishes at eta in (Z/NZ)[zeta_r] is asserted, and a failure is a
-    hard internal error (RuntimeError), not a recoverable condition.
+    Each period sums (r-1)/q roots of unity, so |e_j| <= C(q, j) ((r-1)/q)^j.
+    The residues mod primes P = 1 (mod r) above 2^24, certified by
+    is_small_prime, are combined by CRT until the product of the primes
+    exceeds twice that bound, then lifted to symmetric representatives.
+    That f(eta) = 0 in (Z/NZ)[zeta_r] is asserted; a failure is a hard
+    internal error (RuntimeError), not a recoverable condition.
     """
-    return ModPoly(n, _period_polynomial_over_z(r, q, n))
+    _check_pair_args(r, q, n)
+    residues = _qth_powers(r, q)
+    g = smallest_primitive_root(r)
+    cosets = [[i * pow(g, m, r) % r for i in residues] for m in range(q)]
+    bound = max(math.comb(q, j) * len(residues) ** j for j in range(q + 1))
+    coeffs, modulus = [0] * (q + 1), 1
+    p = (1 << 24) // r * r + 1
+    while modulus <= 2 * bound:
+        p += r
+        if not is_small_prime(p):
+            continue
+        t = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((v - c) * t % p) for c, v in
+                  zip(coeffs, _period_polynomial_mod_prime(r, p, cosets))]
+        modulus *= p
+    coeffs = [c - modulus if 2 * c > modulus else c for c in coeffs]
+    _check_period_root(r, q, n, coeffs)
+    return ModPoly(n, coeffs)
 
 
 def _period_polynomial_mod_prime(
@@ -315,35 +335,6 @@ def _period_polynomial_mod_prime(
     return factors[0]
 
 
-def _period_polynomial_over_z(r: int, q: int, n: int) -> list[int]:
-    """f_{r,q} over Z, constant term first, asserted to vanish at eta in
-    (Z/nZ)[zeta_r].
-
-    Each period sums (r-1)/q roots of unity, so |e_j| <= C(q, j) ((r-1)/q)^j.
-    The residues mod primes P = 1 (mod r) above 2^24, certified by
-    is_small_prime, are combined by CRT until the product of the primes
-    exceeds twice that bound, then lifted to symmetric representatives.
-    """
-    _check_pair_args(r, q, n)
-    residues = _qth_powers(r, q)
-    g = smallest_primitive_root(r)
-    cosets = [[i * pow(g, m, r) % r for i in residues] for m in range(q)]
-    bound = max(math.comb(q, j) * len(residues) ** j for j in range(q + 1))
-    coeffs, modulus = [0] * (q + 1), 1
-    p = (1 << 24) // r * r + 1
-    while modulus <= 2 * bound:
-        p += r
-        if not is_small_prime(p):
-            continue
-        t = pow(modulus, -1, p)
-        coeffs = [c + modulus * ((v - c) * t % p) for c, v in
-                  zip(coeffs, _period_polynomial_mod_prime(r, p, cosets))]
-        modulus *= p
-    coeffs = [c - modulus if 2 * c > modulus else c for c in coeffs]
-    _check_period_root(r, q, n, coeffs)
-    return coeffs
-
-
 def _check_period_root(r: int, q: int, n: int, coeffs: Sequence[int]) -> None:
     """Raise RuntimeError unless f(eta) = 0 in (Z/nZ)[zeta_r].
 
@@ -361,37 +352,40 @@ def _check_period_root(r: int, q: int, n: int, coeffs: Sequence[int]) -> None:
             f"period polynomial does not vanish at eta for (r={r}, q={q}, N={n})")
 
 
-def _power_sums(coeffs: Sequence[int], count: int) -> list[int]:
-    """p_k, k = 1..count (p[0] is unused), of the roots of the monic integer
-    polynomial coeffs (constant term first), by Newton's identities."""
-    q = len(coeffs) - 1
-    a = coeffs[::-1]  # a[i] is the coefficient of x^(q-i)
+def _power_sums(f: ModPoly, count: int) -> list[int]:
+    """p_k mod N, k = 1..count (p[0] is unused), of the roots of the monic f,
+    by Newton's identities."""
+    n, q = f.modulus, f.degree
+    a = f.coeffs[::-1]  # a[i] is the coefficient of x^(q-i)
     p = [0] * (count + 1)
     for k in range(1, count + 1):
         m = min(k - 1, q)
         s = sum(map(mul, a[1:m + 1], reversed(p[k - m:k])))
-        p[k] = -s - k * a[k] if k <= q else -s
+        p[k] = (-s - k * a[k] if k <= q else -s) % n
     return p
 
 
-def _composed_product(polys: Sequence[Sequence[int]]) -> list[int]:
-    """The monic integer polynomial whose roots are the products of one root
-    of each monic integer polynomial in polys (constant terms first).
+def _composed_product(fs: Sequence[ModPoly]) -> ModPoly:
+    """The monic polynomial over Z/NZ whose roots are the products of one
+    root of each monic polynomial in fs.
 
     Its power sums are the products of theirs, and Newton's identities give
-    back its coefficients; each division by k is asserted exact.
+    back its coefficients, dividing by k = 1..deg through _invert_or_hit (a
+    k sharing a factor with N raises _FactorHit).  That the result has the
+    product sums is asserted, by recomputing them from it.
     """
-    if len(polys) == 1:
-        return list(polys[0])
-    d = math.prod(len(c) - 1 for c in polys)
-    sums = [math.prod(col) for col in zip(*(_power_sums(c, d) for c in polys))]
+    if len(fs) == 1:
+        return fs[0]
+    n = fs[0].modulus
+    d = math.prod(f.degree for f in fs)
+    sums = [math.prod(col) % n for col in zip(*(_power_sums(f, d) for f in fs))]
     b = [1]  # b[k] is the coefficient of x^(d-k)
     for k in range(1, d + 1):
-        b_k, rem = divmod(-sum(map(mul, b, reversed(sums[1:k + 1]))), k)
-        if rem:
-            raise RuntimeError(f"Newton's identities left a remainder at k = {k}")
-        b.append(b_k)
-    return b[::-1]
+        b.append(-sum(map(mul, b, reversed(sums[1:k + 1]))) * _invert_or_hit(k, n) % n)
+    f = ModPoly(n, b[::-1])
+    if _power_sums(f, d) != sums:
+        raise RuntimeError(f"the composed product mod {n} lost its power sums")
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -662,16 +656,19 @@ def _verify_structural(a: Pseudofield) -> Optional[AxiomReport]:
 
     sigma^i shifts each pair's periods by tau^(i * class of N); those
     shifts are tensored through the fold of the pairs' period polynomials.
-    The composed product of those polynomials, built over Z, is first
-    compared with a.f, and only then is sigma expressed pair by pair:
-    expressing sigma inverts pivots of its own, and on an f the pairs do
-    not define, a divisor or a dependency met there would replace the power
-    chain's verdict on the ring actually given.
+    The composed product of those polynomials mod N is first compared with
+    a.f, and only then is sigma expressed pair by pair: expressing sigma
+    inverts pivots of its own, and on an f the pairs do not define, a
+    divisor or a dependency met there would replace the power chain's
+    verdict on the ring actually given.  With d >= N some k <= d is 0 mod N,
+    so the composed product cannot be formed and the power chain decides.
     """
     n, d = a.modulus, a.degree
+    if d >= n:
+        return None
     pairs = sorted(a.system.pairs, key=lambda p: p.q)
-    polys = [_period_polynomial_over_z(pair.r, pair.q, n) for pair in pairs]
-    if ModPoly(n, _composed_product(polys)) != a.f:
+    polys = [period_polynomial(pair.r, pair.q, n) for pair in pairs]
+    if _composed_product(polys) != a.f:
         return None  # provenance does not match f; use the power chain
     primes = sorted({pair.q for pair in pairs})
     exponents = [d] + [d // l for l in primes]
@@ -683,7 +680,7 @@ def _verify_structural(a: Pseudofield) -> Optional[AxiomReport]:
             return None
         exprs.append(shifted)
     try:
-        _, vecs = _fold([ModPoly(n, c) for c in polys], exprs)
+        _, vecs = _fold(polys, exprs)
     except TensorDependency:
         return None
     x = _x_residue(a.f)
@@ -728,10 +725,8 @@ def frobenius_index_mod_p(a: Pseudofield, p: int) -> int:
     power chain x^(N^i) mod (p, f) is searched directly; failure to find a
     match refutes pseudofield-ness over p.
     """
-    if not is_small_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if a.modulus % p != 0:
-        raise ValueError(f"{p} does not divide N = {a.modulus}")
+    if p < 2 or a.modulus % p != 0 or not is_small_prime(p):
+        raise ValueError(f"p = {p} must be a prime divisor of N = {a.modulus}")
     if a.system is not None and system_degree(a.system) == a.degree:
         index, mod = 0, 1
         for pair in a.system.pairs:
@@ -794,11 +789,12 @@ def construct_poly_pipeline(
 ) -> Union[Constructed, FactorFound, None]:
     """Find a period system for n and build its defining polynomial.
 
-    f is the composed product of the pairs' period polynomials, built over
-    Z and reduced mod n.  For a system of several pairs, one Euclid decides
-    whether f' is a unit mod f, i.e. whether f is squarefree modulo every
-    p | n; a divisor of n met there is returned as FactorFound(d), and a
-    nonconstant gcd raises TensorDependency, a distinct failure that
+    f is the composed product of the pairs' period polynomials, built mod n
+    from power sums; a k <= deg f sharing a factor with n is returned as
+    FactorFound(gcd(k, n)).  For a system of several pairs, one Euclid
+    decides whether f' is a unit mod f, i.e. whether f is squarefree modulo
+    every p | n; a divisor of n met there is returned as FactorFound(d), and
+    a nonconstant gcd raises TensorDependency, a distinct failure that
     neither certifies compositeness nor produces a polynomial.  Returns
     Constructed(f, ...) with deg f in [D, 2D) on success, and None when no
     period system of the target degree exists within the search caps of
@@ -811,11 +807,13 @@ def construct_poly_pipeline(
     system = find_period_system(n, degree_target)
     if system is None:
         return None
-    polys = [_period_polynomial_over_z(pair.r, pair.q, n) for pair in system.pairs]
-    coeffs = _composed_product(polys)
-    f = ModPoly(n, coeffs)
-    if len(polys) > 1:
-        derivative = ModPoly(n, [k * c for k, c in enumerate(coeffs)][1:])
+    try:
+        f = _composed_product(
+            [period_polynomial(pair.r, pair.q, n) for pair in system.pairs])
+    except _FactorHit as hit:
+        return FactorFound(hit.divisor)
+    if len(system.pairs) > 1:
+        derivative = ModPoly(n, [k * c for k, c in enumerate(f.coeffs)][1:])
         out = _euclid(derivative, f, bezout=False)
         if isinstance(out, FactorFound):
             return out

@@ -100,6 +100,26 @@ def test_mr_census_bound_fields():
     assert rep.fraction <= rep.bound
 
 
+def test_extension_checks_precede_primality(monkeypatch, tmp_path, capsys):
+    # p = 2^61 - 1: certifying p by trial division would take minutes, and
+    # the field-size cap rejects p^2 first
+    import abprime.census as census
+    from abprime.cli import main
+
+    def no_trial_division(p):
+        raise AssertionError(f"is_small_prime({p}) ran before the O(1) checks")
+
+    monkeypatch.setattr(census, "is_small_prime", no_trial_division)
+    p = 2**61 - 1
+    f = ModPoly(p, [1, 0, 1])
+    with pytest.raises(DeskLimitError):
+        root_count_in_extension(3 * p, p, f)
+    poly = tmp_path / "f.poly"
+    poly.write_text(f.to_line() + "\n")
+    assert main(["census", "ab-p", str(3 * p), str(p), "--f", str(poly)]) == 64
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
 def test_mr_census_validation():
     with pytest.raises(ValueError):
         mr_nonwitness_census(10)  # even

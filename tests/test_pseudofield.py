@@ -1,4 +1,6 @@
+import math
 import random
+from operator import mul
 
 import pytest
 
@@ -23,10 +25,12 @@ from abprime import (
     tensor_product,
     verify_axioms,
 )
-from abprime.periodsys import find_period_system
+from abprime.periodsys import PeriodSystem, find_period_system
+from abprime.primality import Divisor, Outcome, PipelineConfig, full_pipeline
 from abprime.pseudofield import (
     TensorDependency,
     _FactorHit,
+    _composed_product,
     _fold,
     _verify_power_chain,
     _verify_structural,
@@ -225,21 +229,60 @@ def test_period_polynomial_corrupted_coefficient_is_caught(monkeypatch, j):
         construct_poly_pipeline(2111, 121)
 
 
+def integer_power_sums(coeffs, count):
+    """Oracle: p_k, k = 1..count (p[0] is unused), of the roots of the monic
+    integer polynomial coeffs (constant term first), by Newton's identities."""
+    q = len(coeffs) - 1
+    a = coeffs[::-1]  # a[i] is the coefficient of x^(q-i)
+    p = [0] * (count + 1)
+    for k in range(1, count + 1):
+        m = min(k - 1, q)
+        s = sum(map(mul, a[1:m + 1], reversed(p[k - m:k])))
+        p[k] = -s - k * a[k] if k <= q else -s
+    return p
+
+
+def integer_composed_product(polys):
+    """Oracle: the composed product over Z, each division by k asserted
+    exact; constant terms first."""
+    if len(polys) == 1:
+        return list(polys[0])
+    d = math.prod(len(c) - 1 for c in polys)
+    sums = [math.prod(col) for col in zip(*(integer_power_sums(c, d) for c in polys))]
+    b = [1]  # b[k] is the coefficient of x^(d-k)
+    for k in range(1, d + 1):
+        b_k, rem = divmod(-sum(map(mul, b, reversed(sums[1:k + 1]))), k)
+        assert rem == 0, k
+        b.append(b_k)
+    return b[::-1]
+
+
+def integer_period_polynomial(r, q):
+    """f_{r,q} over Z: period_polynomial modulo the prime 2^127 - 1, far
+    above its coefficients, lifted to symmetric representatives."""
+    m = 2**127 - 1
+    return [c - m if 2 * c > m else c for c in period_polynomial(r, q, m).coeffs]
+
+
 def test_composed_product_examples(monkeypatch):
     import abprime.pseudofield as pf
     # roots +-sqrt2 times +-sqrt3: +-sqrt6, each twice
-    assert pf._composed_product([[-2, 0, 1], [-3, 0, 1]]) == [36, 0, -12, 0, 1]
+    p = 1000003
+    got = _composed_product([ModPoly(p, [-2, 0, 1]), ModPoly(p, [-3, 0, 1])])
+    assert got == ModPoly(p, [36, 0, -12, 0, 1])
+    assert integer_composed_product([[-2, 0, 1], [-3, 0, 1]]) == [36, 0, -12, 0, 1]
     real = pf._power_sums
 
-    def corrupted(coeffs, count):
-        sums = real(coeffs, count)
+    def corrupted(f, count):
+        sums = real(f, count)
         sums[2] += 1
         return sums
 
     monkeypatch.setattr(pf, "_power_sums", corrupted)
-    # x^2 + x - 1 and x^3 + x^2 - 2x - 1: p_2 = 4 and 6 instead of 3 and 5
-    with pytest.raises(RuntimeError, match="remainder"):
-        pf._composed_product([[-1, 1, 1], [-1, -2, 1, 1]])
+    # x^2 + x - 1 and x^3 + x^2 - 2x - 1: p_2 = 4 and 6 instead of 3 and 5;
+    # the sums recomputed from the result then miss the corrupted products
+    with pytest.raises(RuntimeError, match="lost its power sums"):
+        _composed_product([ModPoly(p, [-1, 1, 1]), ModPoly(p, [-1, -2, 1, 1])])
 
 
 def test_period_conjugates_are_roots():
@@ -506,8 +549,8 @@ def test_construct_pipeline_factor_found():
 
 
 def test_construct_pipeline_matches_tensor_fold():
-    # the composed product over Z against the elimination over Z/NZ,
-    # wherever both build f
+    # the composed product mod N against the integer oracle reduced mod N
+    # and against the elimination over Z/NZ, wherever both build f
     rng = random.Random(45)
     compared = multi = 0
     for _ in range(400):
@@ -518,6 +561,10 @@ def test_construct_pipeline_matches_tensor_fold():
         if system is None:
             assert result is None
             continue
+        if isinstance(result, Constructed):
+            oracle = integer_composed_product(
+                [integer_period_polynomial(p.r, p.q) for p in system.pairs])
+            assert result.f == ModPoly(n, oracle), (n, d)
         try:
             folded, _ = _fold([period_polynomial(p.r, p.q, n) for p in system.pairs])
         except (_FactorHit, TensorDependency):
@@ -527,6 +574,28 @@ def test_construct_pipeline_matches_tensor_fold():
             compared += 1
             multi += len(system.pairs) > 1
     assert compared >= 150 and multi >= 50, (compared, multi)
+
+
+def test_construct_pipeline_newton_divisor():
+    # 20255 = 5 * 4051 with the system (3, 2), (7, 3): going back from the
+    # power sums divides by k = 5, which exposes the divisor 5
+    assert find_period_system(20255, 6) == PeriodSystem(
+        (PeriodPair(3, 2), PeriodPair(7, 3)), 6)
+    assert construct_poly_pipeline(20255, 6) == FactorFound(5)
+    v = full_pipeline(20255, PipelineConfig(degree_override=6), 0)
+    assert v.outcome is Outcome.COMPOSITE and v.evidence == Divisor(5)
+
+
+def test_verify_structural_degree_not_below_modulus():
+    # deg f = 6 >= N = 5: the composed product mod 5 would divide by 5, so
+    # the power chain decides, and for prime N it verifies
+    system = PeriodSystem((PeriodPair(3, 2), PeriodPair(7, 3)), 6)
+    coeffs = integer_composed_product(
+        [integer_period_polynomial(p.r, p.q) for p in system.pairs])
+    f = ModPoly(5, coeffs)
+    report = verify_axioms(Pseudofield(5, f, 6, system))
+    assert report.verdict == "verified"
+    assert report == _verify_power_chain(5, f, 6)
 
 
 def test_construct_pipeline_not_squarefree(monkeypatch):
