@@ -1,17 +1,19 @@
-"""Elements per second of `ab_failure_census_mod_p`, per census class.
+"""Best times of the exact censuses, per census class and per MR composite.
 
     python3 scripts/bench_census.py --src SRC --label NAME [--seed 1] [--out BENCH_census.json]
 
-Imports the library from SRC and times `ab_failure_census_mod_p` on the
-calls of perfbench's census-exact workload for SEED, grouped by the
-(p, deg f) class, each call as the best of REPEATS runs.  A class's rate is
-its p^deg f elements summed over its calls, divided by the summed best
-times.  Then it times, once each, the two inputs just under
-census.ENUMERATION_LIMIT: 7^6 elements with n = 700 and 409^2 with
-n = 413499, with the first monic irreducible f of that degree in
-lexicographic order of its coefficients from x^(d-1) down to 1.  The rows
-are stored under NAME in the output file, next to the runs already
-recorded there under other names.
+Imports the library from SRC and times the calls of perfbench's
+census-exact workload for SEED, each call as the best of REPEATS runs.
+`ab_failure_census_mod_p` and `root_count_in_extension` are grouped by the
+(p, deg f) class: a class's census rate is its p^deg f elements summed over
+its calls, divided by the summed best times, and its root-count row gives
+the mean best time per call.  Each `mr_nonwitness_census` composite gets
+its own row, with its n - 1 bases divided by its best time.  Then it times,
+once each, the two inputs just under census.ENUMERATION_LIMIT: 7^6
+elements with n = 700 and 409^2 with n = 413499, with the first monic
+irreducible f of that degree in lexicographic order of its coefficients
+from x^(d-1) down to 1.  The rows are stored under NAME in the output file,
+next to the runs already recorded there under other names.
 """
 from __future__ import annotations
 
@@ -58,24 +60,37 @@ def main() -> int:
     sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
     from workloads import census_exact
 
-    from abprime import ModPoly, ab_failure_census_mod_p
+    from abprime import ab_failure_census_mod_p
     from abprime.census import ENUMERATION_LIMIT
 
     classes: dict[str, dict] = {}
+    root_counts: dict[str, dict] = {}
+    mr: dict[str, dict] = {}
     for call in census_exact(args.seed):
-        if call.kind != "ab_failure_census_mod_p":
+        if call.kind == "heuristic_class_scan":
             continue
         a = call.args
-        f = ModPoly.from_line(a["f"])
-        t = seconds(lambda: ab_failure_census_mod_p(a["n"], a["p"], f), REPEATS)
-        row = classes.setdefault(call.group, {"calls": 0, "elements": 0, "seconds": 0.0})
+        t = seconds(call.run, REPEATS)
+        if call.kind == "mr_nonwitness_census":
+            mr[str(a["n"])] = {"seconds": round(t, 5), "bases_per_s": round((a["n"] - 1) / t)}
+            continue
+        if call.kind == "root_count_in_extension":
+            row = root_counts.setdefault(call.group, {"calls": 0, "seconds": 0.0})
+        else:
+            row = classes.setdefault(call.group, {"calls": 0, "elements": 0, "seconds": 0.0})
+            row["elements"] += a["p"] ** a["deg_f"]
         row["calls"] += 1
-        row["elements"] += a["p"] ** a["deg_f"]
         row["seconds"] += t
     for group, row in classes.items():
         row["elements_per_s"] = round(row["elements"] / row["seconds"])
         row["seconds"] = round(row["seconds"], 5)
-        print(group, row, flush=True)
+        print("ab_failure_census_mod_p", group, row, flush=True)
+    for group, row in root_counts.items():
+        row["ms_per_call"] = round(1000 * row["seconds"] / row["calls"], 3)
+        row["seconds"] = round(row["seconds"], 5)
+        print("root_count_in_extension", group, row, flush=True)
+    for n, row in mr.items():
+        print("mr_nonwitness_census", n, row, flush=True)
     near_cap = {}
     for n, p, d in NEAR_CAP:
         f = first_irreducible(p, d)
@@ -92,6 +107,8 @@ def main() -> int:
         "repeats": REPEATS,
         "enumeration_limit": ENUMERATION_LIMIT,
         "classes": classes,
+        "root_count_classes": root_counts,
+        "mr_composites": mr,
         "near_cap": near_cap,
         "python": platform.python_version(),
         "machine": platform.machine(),

@@ -5,9 +5,12 @@ by brute-force enumeration at desk scale: the fraction of Miller-Rabin
 nonwitness bases, the fraction of polynomials h passing the identity
 (h+1)^N = h^N + 1 mod (p, f) (and mod (N, f) for tiny instances), and the
 scan of the p = 2k+1, q = 6k+1 semiprime family whose nonwitness fraction
-stays above a constant.  Root counts of (x+1)^N - x^N - 1 in F_p[x]/(f)
-come from a gcd instead, at O(min(N, p^d)^2) F_p operations in Euclid, and
-check the mod-(p, f) census by an independent method.
+stays above a constant.  The Miller-Rabin census enumerates each
+prime-power component p^e of N and combines the counts by CRT, so its work
+is the sum of the p^e rather than N.  Root counts of (x+1)^N - x^N - 1 in
+F_p[x]/(f) come from a gcd instead, at O(min(N/p^v, p^d)^2) F_p operations
+in Euclid for p^v the power of p dividing N, and check the mod-(p, f)
+census, which enumerates at the true N, by an independent method.
 
 Counts are exact integers and fractions are exact rationals; a report also
 carries the applicable analytic bound so callers can flag any violation
@@ -92,26 +95,36 @@ def factorize_desk(n: int) -> list[tuple[int, int]]:
     return factorize(n)
 
 
-def _count_nonwitnesses_range(n: int, s: int, t: int) -> int:
-    """Nonwitness bases a in [1, n) counted exhaustively, vectorized.
+def _count_nonwitnesses(factors: list[tuple[int, int]], s: int, t: int) -> int:
+    """Nonwitness bases a in [1, n) of n = prod p^e, for n - 1 = 2^s t,
+    counted one prime-power component at a time.
 
-    n <= MR_LIMIT, so every product of two residues, below n^2 < 2^40,
-    fits in int64.
+    By CRT, a^t = 1 mod n iff a^t = 1 mod every p^e, and a^(2^j t) = -1
+    mod n iff it is -1 mod every p^e.  These s + 1 events are disjoint, and
+    no non-unit residue, 0 included, satisfies any of them, so the count is
+    prod ones + sum over j < s of prod minus_j, each factor counted over all
+    of Z/p^eZ by one vectorized ladder.  The work is sum p^e, not n.
+    p^e <= n <= MR_LIMIT, so every product of two residues, below
+    (p^e)^2 < 2^40, fits in int64.
     """
     # imported here: numpy costs most of `import abprime`
     import numpy as np
 
-    a = np.arange(1, n, dtype=np.int64)
-    x = binary_power(a, t, lambda y: y * y % n, lambda y: y * a % n)
-    nonwit = x == 1
-    for _ in range(s):
-        nonwit |= x == n - 1
-        x = x * x % n
-    return int(nonwit.sum())
+    ones, minus = 1, [1] * s
+    for p, e in factors:
+        q = p**e
+        a = np.arange(q, dtype=np.int64)
+        x = binary_power(a, t, lambda y: y * y % q, lambda y: y * a % q)
+        ones *= int((x == 1).sum())
+        for j in range(s):
+            minus[j] *= int((x == q - 1).sum())
+            x = x * x % q
+    return ones + sum(minus)
 
 
 def mr_nonwitness_census(n: int) -> CensusReport:
-    """Exact count of Miller-Rabin nonwitness bases a in [1, n-1].
+    """Exact count of Miller-Rabin nonwitness bases a in [1, n-1], counted
+    per prime-power factor of n and combined by CRT.
 
     n must be odd and composite.  The bound is min(1/4, the group-theoretic
     bound 1 / (2^(r-1) * prod p_i^(e_i - 1))) over the factorization
@@ -125,7 +138,7 @@ def mr_nonwitness_census(n: int) -> CensusReport:
     if len(factors) == 1 and factors[0][1] == 1:
         raise ValueError(f"{n} is prime; the census needs a composite")
     s, t = decompose_two_power(n - 1)
-    failing = _count_nonwitnesses_range(n, s, t)
+    failing = _count_nonwitnesses(factors, s, t)
     group_bound = Fraction(1)
     for p, e in factors:
         group_bound /= p ** (e - 1)
@@ -160,13 +173,18 @@ def root_count_in_extension(n: int, p: int, f: ModPoly) -> int:
     """Number of roots of g = (x+1)^n - x^n - 1 in the field F_p[x]/(f).
 
     Counted without enumeration as deg gcd(g, x^(p^d) - x) over F_p, the
-    distinct-degree step of Cantor-Zassenhaus.  g is built with exponent
-    m = (n-1) mod (p^d-1) + 1, which agrees with n on every beta in F_(p^d)
-    (beta = -1 included, as m and n share their parity for odd p), so
-    deg g < min(n, p^d) and Euclid costs O(min(n, p^d)^2) F_p operations.
+    distinct-degree step of Cantor-Zassenhaus.  Over F_p,
+    g_n(beta) = g_(n/p)(beta)^p, so beta is a root for n iff it is one for
+    n' = n / p^v, v the p-adic valuation of n.  g is built with exponent
+    m = (n'-1) mod (p^d-1) + 1, which agrees with n' on every beta in
+    F_(p^d) (beta = -1 included, as m and n' share their parity for odd p),
+    so deg g < min(n', p^d) and Euclid costs O(min(n', p^d)^2) F_p
+    operations.  n' = 1 leaves g = 0: every element is a root.
     """
     _, d = _check_extension_args(n, p, f)
     q = p**d
+    while n % p == 0:
+        n //= p
     m = (n - 1) % (q - 1) + 1
     x = ModPoly.x(p)
     # (x+1)^m in full, as nothing of degree <= m is reduced mod x^(m+1)
@@ -214,7 +232,7 @@ def _identity_count(n: int, f: ModPoly) -> int:
     on a 2-core VM; a census of a few hundred elements is bound by numpy's
     per-call overhead instead, about 1 ms.
     """
-    # imported here, as in _count_nonwitnesses_range
+    # imported here, as in _count_nonwitnesses
     import numpy as np
 
     m, d = f.modulus, f.degree

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Optional, Sequence, Union
 
+from .instrument import active_counter
 from .intarith import FactorFound, factorize, try_invert
 from .periodsys import (
     PeriodPair,
@@ -166,22 +167,28 @@ class CyclotomicElt:
     def __neg__(self) -> "CyclotomicElt":
         return CyclotomicElt(self.modulus, self.r, [-a for a in self.coords])
 
-    def _phi_ring(self, op, arg) -> "CyclotomicElt":
-        # op(self, arg) in (Z/NZ[x])/(Phi_r), Phi_r = 1 + x + ... + x^(r-1):
-        # the power basis 1..zeta^(r-2) is its residue basis
-        m, r = self.modulus, self.r
-        p = op(ModPoly(m, self.coords), arg, ModPoly(m, [1] * r))
-        return CyclotomicElt(m, r, p.coeffs + (0,) * (r - 1 - len(p.coeffs)))
-
     def __mul__(self, other: "CyclotomicElt") -> "CyclotomicElt":
+        """One ring multiplication: the product's 2r - 3 slots, those at
+        i >= r folded onto i - r as zeta^r = 1."""
         self._compatible(other)
-        return self._phi_ring(poly_mul_mod, ModPoly(self.modulus, other.coords))
+        m, r = self.modulus, self.r
+        counter = active_counter()
+        if counter is not None:
+            counter.poly_mults += 1
+        slots = _mul_coeffs(self.coords, other.coords, m)
+        for i in range(r, len(slots)):
+            slots[i - r] += slots[i]
+        return CyclotomicElt.from_slots(m, r, slots[:r])
 
     def scale(self, c: int) -> "CyclotomicElt":
         return CyclotomicElt(self.modulus, self.r, [c * a for a in self.coords])
 
     def pow(self, e: int) -> "CyclotomicElt":
-        return self._phi_ring(poly_pow_mod, e)
+        # in (Z/NZ[x])/(Phi_r), Phi_r = 1 + x + ... + x^(r-1): the power
+        # basis 1..zeta^(r-2) is its residue basis
+        m, r = self.modulus, self.r
+        p = poly_pow_mod(ModPoly(m, self.coords), e, ModPoly(m, [1] * r))
+        return CyclotomicElt(m, r, p.coeffs + (0,) * (r - 1 - len(p.coeffs)))
 
     def is_constant(self) -> bool:
         return all(c == 0 for c in self.coords[1:])

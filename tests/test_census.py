@@ -18,11 +18,14 @@ from abprime import (
     count_operations,
     factorize_desk,
     heuristic_class_scan,
+    is_irreducible_mod_p,
     mr_nonwitness_census,
     poly_pow_mod,
     root_count_in_extension,
 )
 from abprime.census import _deg_g_mod_p, _identity_count
+from abprime.instrument import binary_power
+from abprime.intarith import decompose_two_power
 
 
 def loop_identity_count(n, f):
@@ -64,6 +67,36 @@ def naive_nonwitness_count(n):
                 break
             x = x * x % n
     return count
+
+
+def range_nonwitness_count(n):
+    """Reference for the per-component census: every base a in [1, n)
+    raised mod n by one numpy ladder, the whole range at once."""
+    import numpy as np
+
+    s, t = decompose_two_power(n - 1)
+    a = np.arange(1, n, dtype=np.int64)
+    x = binary_power(a, t, lambda y: y * y % n, lambda y: y * a % n)
+    nonwit = x == 1
+    for _ in range(s):
+        nonwit |= x == n - 1
+        x = x * x % n
+    return int(nonwit.sum())
+
+
+def test_mr_census_matches_range_enumeration():
+    rng = random.Random(1980)
+    seeded = []
+    while len(seeded) < 12:
+        n = rng.randrange(10 ** rng.randint(2, 5), 10**6) | 1
+        if factorize_desk(n) != [(n, 1)]:
+            seeded.append(n)
+    prime_powers = [9, 27, 25, 125, 49, 11**3, 13**4, 11**5, 3**12, 5**8, 7**7]
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911]
+    # one component of 333331 residues beside one of 3
+    one_large = [3 * 333331, 5 * 199999]
+    for n in seeded + prime_powers + carmichael + one_large:
+        assert mr_nonwitness_census(n).failing == range_nonwitness_count(n), n
 
 
 def test_mr_census_pins():
@@ -164,6 +197,22 @@ def test_root_count_example():
     ]:
         assert root_count_in_extension(n, p, f) == roots, (n, p)
         assert ab_failure_census_mod_p(n, p, f).failing == roots, (n, p)
+
+
+def test_root_count_reduces_the_power_of_p():
+    # the root count runs at n / p^v; the enumeration at the true n
+    rng = random.Random(1810)
+    for p in (3, 5, 7):
+        for d in (2, 3):
+            while True:
+                f = ModPoly(p, [rng.randrange(p) for _ in range(d)] + [1])
+                if is_irreducible_mod_p(f, p):
+                    break
+            for v in (1, 2, 3):
+                n = p**v * rng.choice([k for k in range(2, 40) if k % p])
+                assert root_count_in_extension(n, p, f) == _identity_count(n, f), (n, f)
+            # k = 1 leaves g = 0: every element is a root
+            assert root_count_in_extension(p**2, p, f) == _identity_count(p**2, f) == p**d
 
 
 def test_root_count_prime_everything_is_a_root():
@@ -283,7 +332,6 @@ def test_census_mod_p_refuses_before_enumerating(monkeypatch, n, error):
 
 
 def test_ab_census_21():
-    from abprime import is_irreducible_mod_p
     f = ModPoly(21, [1, 0, 1])
     assert is_irreducible_mod_p(f, 3) and is_irreducible_mod_p(f, 7)
     rep = ab_failure_census_mod_N(21, f)
