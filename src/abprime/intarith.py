@@ -22,6 +22,7 @@ __all__ = [
     "gcd",
     "try_invert",
     "decompose_two_power",
+    "strong_probable_prime",
     "floor_log2",
     "factorize",
 ]
@@ -91,6 +92,26 @@ def decompose_two_power(n: int) -> tuple[int, int]:
         raise ValueError(f"need n >= 1, got {n}")
     s = (n & -n).bit_length() - 1
     return s, n >> s
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """One Miller-Rabin round: is odd n > 2 a strong probable prime to base a,
+    1 <= a <= n-1?  (Arguments are not checked.)
+
+    Writes n-1 = 2^s * t with t odd and returns True iff a^t == 1 or
+    a^(2^i t) == -1 mod n for some 0 <= i <= s-1.  False means a is a
+    witness: n is certainly composite.  Counted as mod_pow(a, t, n) plus one
+    multiplication per squaring.
+    """
+    s, t = decompose_two_power(n - 1)
+    x = mod_pow(a, t, n)
+    if x == 1:
+        return True
+    for _ in range(s):
+        if x == n - 1:
+            return True
+        x = mod_pow(x, 2, n)
+    return False
 
 
 def floor_log2(n: int) -> int:

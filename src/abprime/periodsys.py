@@ -6,26 +6,36 @@ the class of N generates the order-q quotient of (Z/rZ)^x.  A period
 system is a set of pairs with pairwise distinct (hence coprime) q, and its
 degree is the product of the q's.
 
-The search below enumerates candidate primes r ascending, keeps the
+The search below takes the primes r from a sieve of Eratosthenes run in
+fixed-size segments, ascending, factors r-1 by trial division, keeps the
 smallest admissible r for each prime q, and then picks the subset of q's
 whose product lands in the target window [D, 2D), preferring the smallest
 degree (ties broken by lexicographic q-list).  The asymptotic theory backs
 the search only for astronomically large N and D; at desk scale the
 enumeration bounds are fixed caps, r < max(64, 16D) and q < 2D, and the
 search is best-effort: when nothing fits, it honestly returns None.
+
+Other primes (the r and q handed to is_period_pair, the CRT primes of the
+period polynomials) are certified by is_small_prime: Miller-Rabin at the
+first twelve prime bases, a proof of primality below
+PSI_12 = 318665857834031151167461, the least strong pseudoprime to all of
+them (Sorenson and Webster, Strong pseudoprimes to twelve prime bases,
+Math. Comp. 86, 2017), and trial division from there on.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional
+from typing import Iterator, Optional
 
-from .intarith import factorize
+from .intarith import factorize, strong_probable_prime
 
 __all__ = [
     "PeriodPair",
     "PeriodSystem",
     "is_small_prime",
+    "primes_below",
     "multiplicative_order",
     "is_period_pair",
     "find_period_system",
@@ -47,9 +57,57 @@ class PeriodSystem:
     degree: int
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PSI_12 = 318665857834031151167461
+_SEGMENT = 1 << 15
+
+
 def is_small_prime(n: int) -> bool:
-    """Deterministic trial-division primality (fine for desk-scale n)."""
-    return n >= 2 and factorize(n) == [(n, 1)]
+    """Deterministic primality of an integer n.
+
+    n is prime if it is one of the first twelve primes 2..37 and composite
+    if one of them divides it.  Below PSI_12 a strong-probable-prime round
+    at each of these bases then proves n prime or composite (Sorenson and
+    Webster 2017); at or above PSI_12, trial division decides.
+    """
+    if n < 2:
+        return False
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    if n < PSI_12:
+        return all(strong_probable_prime(n, a) for a in _BASES)
+    return factorize(n) == [(n, 1)]
+
+
+def primes_below(limit: int) -> Iterator[int]:
+    """The primes p < limit, ascending.
+
+    A sieve of Eratosthenes over segments of _SEGMENT numbers: memory is one
+    segment plus the primes up to sqrt(limit) met so far, whatever limit is.
+    """
+    sieving: list[int] = []  # the primes p with p*p < limit met so far
+    lo = 2
+    while lo < limit:
+        hi = min(lo + _SEGMENT, limit)
+        seg = bytearray([1]) * (hi - lo)
+        for p in sieving:
+            if p * p >= hi:
+                break
+            start = max(p * p, -(-lo // p) * p) - lo
+            seg[start::p] = bytes(len(range(start, hi - lo, p)))
+        # primes inside the segment that sieve it: only in the first one
+        for p in range(lo, min(hi, math.isqrt(hi - 1) + 1)):
+            if seg[p - lo]:
+                seg[p * p - lo::p] = bytes(len(range(p * p - lo, hi - lo, p)))
+        i = seg.find(1)
+        while i >= 0:
+            p = lo + i
+            if p * p < limit:
+                sieving.append(p)
+            yield p
+            i = seg.find(1, i + 1)
+        lo = hi
 
 
 def multiplicative_order(a: int, r: int) -> int:
@@ -74,6 +132,12 @@ def is_period_pair(n: int, r: int, q: int) -> bool:
         return False
     if (r - 1) % q != 0 or n % r == 0:
         return False
+    return _generates_order_q(n, r, q)
+
+
+def _generates_order_q(n: int, r: int, q: int) -> bool:
+    """The order test of a period pair, for primes r and q | r-1, r not
+    dividing n: does n^((r-1)/q) have order exactly q mod r?"""
     y = pow(n, (r - 1) // q, r)
     # q prime, so ord(y) | q means ord(y) is 1 or q; y^q == 1 holds by Fermat
     # but is rechecked rather than assumed.
@@ -88,23 +152,33 @@ def system_degree(system: PeriodSystem) -> int:
 def find_period_system(n: int, degree_target: int) -> Optional[PeriodSystem]:
     """Search for a period system for n of degree in [D, 2D), D = degree_target.
 
-    Scans primes r ascending below max(64, 16*D); for each prime q | r-1
-    below 2D (which any usable q must satisfy) keeps the smallest r making
-    (r, q) a period pair for n.  Deterministic: the same (n, D) always
-    yields the same system.
+    Takes the primes r below max(64, 16*D) ascending from primes_below's
+    segmented sieve, so memory stays bounded whatever D is; for each prime
+    q | r-1 below 2D (which any usable q must satisfy), found by trial
+    division of r-1, keeps the smallest r making (r, q) a period pair for
+    n.  Sieve and factorization prove r and q prime, so only the order test
+    of is_period_pair runs.  Deterministic: the same (n, D) always yields
+    the same system.
     """
     if n <= 1:
         raise ValueError(f"need n > 1, got {n}")
     if degree_target < 2:
         raise ValueError("degree target must be >= 2")
     best_r: dict[int, int] = {}
-    for r in range(3, max(64, 16 * degree_target)):
-        if not is_small_prime(r):
+    for r in primes_below(max(64, 16 * degree_target)):
+        if n % r == 0:
             continue
         for q, _ in factorize(r - 1):
-            if q < 2 * degree_target and q not in best_r and is_period_pair(n, r, q):
+            if q < 2 * degree_target and q not in best_r and _generates_order_q(n, r, q):
                 best_r[q] = r
+    return _smallest_system(best_r, degree_target)
 
+
+def _smallest_system(
+    best_r: dict[int, int], degree_target: int
+) -> Optional[PeriodSystem]:
+    """The system of least degree in [D, 2D) (ties: lexicographic q-list)
+    whose pairs are (best_r[q], q) for q in a subset of best_r."""
     qs = sorted(best_r)
     lo, hi = degree_target, 2 * degree_target
     best: Optional[tuple[int, tuple[int, ...]]] = None

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .intarith import decompose_two_power, floor_log2, mod_pow
+from .intarith import floor_log2, strong_probable_prime
 from .polyring import ModPoly, poly_pow_mod, random_poly
 
 __all__ = [
@@ -117,25 +117,15 @@ def trial_division_stage(n: int) -> Optional[int]:
 
 
 def miller_rabin_round(n: int, a: int) -> bool:
-    """One strong-pseudoprimality check of n at base a.
-
-    Writes n-1 = 2^s * t with t odd and returns True (probable prime) iff
-    a^t == 1 or a^(2^i t) == -1 mod n for some 0 <= i <= s-1.  False means
-    a is a witness: n is certainly composite.
+    """One strong-pseudoprimality check of n at base a: the checked front of
+    intarith.strong_probable_prime.  True means probable prime; False means
+    a is a witness, so n is certainly composite.
     """
     if n <= 2 or n % 2 == 0:
         raise ValueError(f"need odd n > 2, got {n}")
     if not 1 <= a <= n - 1:
         raise ValueError(f"base must be in [1, n-1], got {a}")
-    s, t = decompose_two_power(n - 1)
-    x = mod_pow(a, t, n)
-    if x == 1:
-        return True
-    for _ in range(s):
-        if x == n - 1:
-            return True
-        x = mod_pow(x, 2, n)
-    return False
+    return strong_probable_prime(n, a)
 
 
 def _mr_rounds(
