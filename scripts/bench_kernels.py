@@ -9,15 +9,21 @@ deg, it records:
 - mul_us: _mul_coeffs(a, b, m), the bare product;
 - mul_mod_us: poly_mul_mod(a, b, f), one ring multiplication;
 - square_mod_us: poly_mul_mod(a, a, f), one ring squaring;
+- pow_step_us: poly_pow_mod(a, m, f) over its binary_method_mults(m) ring
+  multiplications, the cost of one step of the ladder, whose elements
+  need not be packed and unpacked at each step as one poly_mul_mod's are;
+  only up to POW_MAX_DEG, as one call at 8192 x 256 takes minutes;
 - operand_kbit: the largest integer _mul_coeffs hands to a big-integer
   multiply.
 
 It then records the schoolbook/Kronecker time ratio that sets
 _KRONECKER_MIN, for shorter operands of SHORT coefficients against a longer
 one of equal length ("bal") or of LONG coefficients.  Every time is the
-fastest of at least REPS runs that together take MIN_S seconds.  The rows
-are stored under NAME in the output file, next to the runs already
-recorded there under other names.
+fastest of at least REPS runs that together take MIN_S seconds, scaled to
+the reference CPU speed of perfbench/calibrate.py measured around those
+runs, as perfbench scales its gated timings.  The rows are stored under
+NAME in the output file, next to the runs already recorded there under
+other names.
 """
 from __future__ import annotations
 
@@ -29,22 +35,29 @@ import random
 import sys
 import time
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+import calibrate  # noqa: E402
+
 DEGREES = (16, 24, 32, 40, 47, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 BITS = (20, 64, 128, 256)
 SHORT = (4, 6, 8, 9, 10, 12, 16, 24, 32)
 LONG = ("bal", 64, 3000)
 THRESHOLD_BITS = (5, 7, 12, 24, 64, 128)
+POW_MAX_DEG = 512
 REPS = 3
 MIN_S = 0.2
 
 
 def best_time(fn, min_s: float = MIN_S) -> float:
+    """The fastest run of fn, in seconds at calibrate's reference speed."""
+    before = calibrate.reference_seconds()
     times: list[float] = []
     while len(times) < REPS or sum(times) < min_s:
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return min(times)
+    return min(times) * calibrate.speed(before, calibrate.reference_seconds())
 
 
 def operand_bits(polyring, fn) -> int:
@@ -66,7 +79,8 @@ def operand_bits(polyring, fn) -> int:
 
 
 def kernel_row(polyring, deg: int, bits: int) -> dict:
-    from abprime import ModPoly, poly_mul_mod
+    from abprime import ModPoly, poly_mul_mod, poly_pow_mod
+    from abprime.instrument import binary_method_mults
 
     rng = random.Random(f"bench-kernels/{deg}/{bits}")
     m = rng.getrandbits(bits) | 1 << (bits - 1) | 1
@@ -74,10 +88,13 @@ def kernel_row(polyring, deg: int, bits: int) -> dict:
     f = ModPoly(m, [rng.randrange(m) for _ in range(deg)] + [1])
     pa, pb = ModPoly(m, a), ModPoly(m, b)
     poly_mul_mod(pa, pb, f)  # builds the reducer for f outside the timings
+    pow_step = (best_time(lambda: poly_pow_mod(pa, m, f)) / binary_method_mults(m)
+                if deg <= POW_MAX_DEG else None)
     return {
         "mul_us": round(best_time(lambda: polyring._mul_coeffs(a, b, m)) * 1e6, 1),
         "mul_mod_us": round(best_time(lambda: poly_mul_mod(pa, pb, f)) * 1e6, 1),
         "square_mod_us": round(best_time(lambda: poly_mul_mod(pa, pa, f)) * 1e6, 1),
+        "pow_step_us": None if pow_step is None else round(pow_step * 1e6, 1),
         "operand_kbit": round(operand_bits(polyring, lambda: polyring._mul_coeffs(a, b, m)) / 1000, 2),
     }
 
@@ -124,6 +141,8 @@ def main() -> int:
         "kronecker_min": polyring._KRONECKER_MIN,
     }
     record["shapes"] = "kernels: deg x modulus bits; schoolbook_over_kronecker: bits x longer length, keyed by shorter length"
+    record["times"] = ("microseconds at the reference speed of perfbench/calibrate.py "
+                       f"(NOMINAL_S = {calibrate.NOMINAL_S} s), measured around each cell")
     record["environment"] = {
         "python": platform.python_version(),
         "machine": platform.machine(),

@@ -18,13 +18,18 @@ and (h+ - h-) >> (b + 1), both exact.  Two products of half the bits
 replace one.
 
 A ring multiplication mod a monic f follows the same rule: with an operand
-shorter than _KRONECKER_MIN it is schoolbook, then schoolbook division;
-otherwise _Reducer keeps the KS2 product packed through a Newton
-reduction, unpacks only the top slots (for the quotient) and the d slots
-of the remainder, formed on the packs with a bias that keeps every slot
-nonnegative.  The schoolbook division runs in place and leaves the quotient
-above the remainder, so Euclid uses the same loop.  The paths agree
-coefficient for coefficient; the threshold is a tuning constant only.
+shorter than _KRONECKER_MIN it is schoolbook, then schoolbook division.
+Otherwise _Reducer works on packed elements, the KS2 packs of the even and
+the odd coefficients, and unpacks nothing inside a product: the quotient
+is read off the packed product with Barrett's mu = x^(2d-2) div f, the
+remainder is formed on the packs with a bias that keeps every slot
+nonnegative, and a slot-parallel Barrett reduction brings every slot back
+into [0, N) with a few big-integer operations.  poly_pow_mod mod an f of
+degree at least _KRONECKER_MIN packs its base once, keeps the ladder
+packed, short bases included, and unpacks the result once.  The
+schoolbook division runs in place and leaves the quotient above the
+remainder, so Euclid uses the same loop.  The paths agree coefficient for
+coefficient; the threshold is a tuning constant only.
 
 Text serialization is a single line ``N; c0,c1,...,cd`` with decimal
 integers, index = degree.
@@ -237,9 +242,21 @@ def _unpack_halves(even: int, odd: int, width: int, n: int, m: int) -> list[int]
 def _points(coeffs: Sequence[int], width: int) -> tuple[int, int]:
     """(A(2^b), A(-2^b)) for b = 4 width bits, from one pack of the even and
     one of the odd coefficients in slots of 8 width bits."""
-    even = _pack(coeffs[0::2], width)
-    odd = _pack(coeffs[1::2], width) << 4 * width
+    return _pair(_pack(coeffs[0::2], width), _pack(coeffs[1::2], width), width)
+
+
+def _pair(even: int, odd: int, width: int) -> tuple[int, int]:
+    # _points from the packs of the even and the odd coefficients
+    odd <<= 4 * width
     return even + odd, even - odd
+
+
+def _drop(even: int, odd: int, s: int, bits: int) -> tuple[int, int]:
+    """The packs of c div x^s from the packs of c, in slots of bits bits:
+    for odd s, c[s:] starts with an odd coefficient."""
+    if s % 2:
+        even, odd = odd, even
+    return even >> bits * (s // 2), odd >> bits * ((s + 1) // 2)
 
 
 def _times(pa: tuple[int, int], pb: tuple[int, int]) -> tuple[int, int]:
@@ -280,21 +297,30 @@ class _Reducer:
     """Ring multiplication modulo one fixed monic f of degree d.
 
     A product with an operand shorter than _KRONECKER_MIN is schoolbook
-    and divided by schoolbook; every other product is one fused Kronecker
-    pass.  The slot width is fixed per f at
-    W = ceil((2 bits(m) + bits(d) + 2) / 8) bytes, and the packed images at
-    +-2^(4W) of the Newton reciprocal rev(f)^-1 mod x^(d-1) and of f mod x^d
-    are computed once.  For c = a*b = q*f + r of length n:
+    and divided by schoolbook, and so is every product of a ladder mod an f
+    of degree below _KRONECKER_MIN.  Every other product works on packed
+    elements: an element of n <= d coefficients in [0, m) is the pair of
+    KS2 packs of its even and its odd coefficients, in slots of B = 8W bits
+    with W = ceil((2 bits(m) + bits(d) + 2) / 8), so 2^B > 4 d m^2.  The
+    Barrett quotient mu = x^(2d-2) div f (Newton's reciprocal of rev(f)
+    mod x^(d-1), reversed once) and f mod x^d are packed once per f, on the
+    first packed product.  For c = a*b = q*f + r of n coefficients, d < n:
 
-    - the top n - d coefficients of c are unpacked mod m and reversed; one
-      product with the reciprocal gives rev(q) in its low n - d slots;
-    - one product of q with f mod x^d gives q*f mod x^d;
-    - r = c + BIAS - q*f mod x^d is formed on the packs and unpacked once.
+    - c div x^d, the top n - d slots, has its slots reduced mod m;
+    - q is the top n - d coefficients of (c div x^d)*mu, slots reduced;
+    - r = (c mod x^d) + BIAS - (q*f mod x^d), slots reduced.
 
-    Every slot of c and of q*f mod x^d is at most d(m-1)^2, and every BIAS
-    slot is d*m^2, a multiple of m, so each slot of the sum lies in
-    (0, 2 d m^2) < 2^(8W): no borrow crosses a slot and each slot is the
-    coefficient of r plus a multiple of m.
+    Every slot of c, of (c div x^d)*mu and of q*f is at most d(m-1)^2, and
+    every BIAS slot is d m^2, a multiple of m, so each slot of c + BIAS and
+    of r lies in [0, 2 d m^2]: no borrow crosses a slot, and every slot
+    handed to _reduce_slots is below 2^B.  _reduce_slots reduces all the
+    slots of both packs at once (Barrett, CRYPTO '86): it lays the packs end
+    to end, masks them into alternate slots, so each occupied slot y < 2^B
+    has an empty one above it and y * floor(2^B / m) < 2^(2B) carries into
+    nothing, and forms q' = floor(y floor(2^B / m) / 2^B) in every slot;
+    y - q' m lies in [0, 2m), and one subtraction of m, in the slots whose
+    y - q' m + 2^t - m has bit t = bits(m) set, leaves it in [0, m).  The
+    ladder keeps its elements packed from the first product to the last.
     """
 
     def __init__(self, f: ModPoly):
@@ -304,17 +330,27 @@ class _Reducer:
         self._width: int | None = None
 
     def _setup(self) -> int:
-        # the Newton data, computed on the first fused product only
+        # the packed data, computed on the first packed product only
         if self._width is None:
             m, d = self.m, self.d
             width = (2 * m.bit_length() + d.bit_length() + 2 + 7) // 8
-            self._recip = _points(self._reciprocal(d - 1), width)
+            bits = 8 * width
+            self._mu = _points(self._reciprocal(d - 1)[::-1], width)
             self._f_low = _points(self.f[:d], width)
             bias = d * m * m
             self._bias = (_pack([bias] * ((d + 1) // 2), width),
                           _pack([bias] * (d // 2), width))
-            self._masks = ((1 << 8 * width * ((d + 1) // 2)) - 1,
-                           (1 << 8 * width * (d // 2)) - 1)
+            self._masks = ((1 << bits * ((d + 1) // 2)) - 1,
+                           (1 << bits * (d // 2)) - 1)
+            # for _reduce_slots: a 1 in each of d slots, floor(2^B / m),
+            # 2^t - m in each slot, and all ones in every other slot
+            self._ones = ((1 << bits * d) - 1) // ((1 << bits) - 1)
+            self._barrett = (1 << bits) // m
+            self._borrow = ((1 << m.bit_length()) - m) * self._ones
+            pairs = (d + 1) // 2
+            self._alt = ((1 << bits) - 1) * (((1 << 2 * bits * pairs) - 1)
+                                             // ((1 << 2 * bits) - 1))
+            self._alt_hi = self._alt << bits
             self._width = width
         return self._width
 
@@ -338,49 +374,73 @@ class _Reducer:
             del c[self.d:]
         return c
 
-    def points(self, a: Sequence[int]) -> tuple[int, int] | None:
-        """The packed images of a, for passing to mul with a as its fixed
-        second operand; None where mul does not pack a."""
-        if len(a) < _KRONECKER_MIN:
-            return None
-        return _points(a, self._setup())
-
-    def mul(self, a: Sequence[int], b: Sequence[int],
-            pb: tuple[int, int] | None = None) -> list[int]:
-        """a*b mod f for lists of length at most d with entries in [0, m);
-        pb, when given, is points(b)."""
-        m, d = self.m, self.d
+    def mul(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
+        """a*b mod f for lists of length at most d with entries in [0, m)."""
         if not a or not b:
             return []
         if len(a) < _KRONECKER_MIN or len(b) < _KRONECKER_MIN:
-            return self.reduce(_mul_schoolbook(a, b, m))
+            return self.reduce(_mul_schoolbook(a, b, self.m))
+        pa = self._packed(a)
+        return self._unpacked(self._mul(pa, pa if a is b else self._packed(b)))
+
+    def power(self, a: Sequence[int], e: int) -> list[int]:
+        """a^e mod f for e >= 1 and a list a as for mul, by binary_power."""
+        if not a:
+            return []
+        if self.d < _KRONECKER_MIN:
+            return binary_power(a, e, lambda y: self.mul(y, y),
+                                lambda y: self.mul(y, a))
+        pa = self._packed(a)
+        return self._unpacked(binary_power(
+            pa, e, lambda y: self._mul(y, y), lambda y: self._mul(y, pa)))
+
+    # -- packed elements: (even pack, odd pack, number of coefficients) -----
+    def _packed(self, a: Sequence[int]) -> tuple[int, int, int]:
         width = self._setup()
-        pa = _points(a, width)
-        if pb is None:
-            pb = pa if a is b else _points(b, width)
-        even, odd = _halves(*_times(pa, pb), width)
-        n = len(a) + len(b) - 1
-        if n <= d:
-            return _unpack_halves(even, odd, width, n, m)
+        return _pack(a[0::2], width), _pack(a[1::2], width), len(a)
+
+    def _unpacked(self, a: tuple[int, int, int]) -> list[int]:
+        return _unpack_halves(a[0], a[1], self._width, a[2], self.m)
+
+    def _mul(self, a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+        # a*b mod f, packed; a is b for a square
+        width = self._width
+        pa = _pair(a[0], a[1], width)
+        even, odd = _halves(*_times(pa, pa if a is b else _pair(b[0], b[1], width)), width)
+        n = a[2] + b[2] - 1
+        if n <= self.d:
+            return (*self._reduce_slots(even, odd, n), n)
         return self._remainder(even, odd, n)
 
-    def _remainder(self, even: int, odd: int, n: int) -> list[int]:
-        # c mod f from the packs of the even and odd coefficients of c,
-        # d < n = len(c) < 2d; see the class docstring
-        m, d, width = self.m, self.d, self._width
-        qlen = n - d
-        bits = 8 * width
-        top_e, top_o = even >> bits * ((d + 1) // 2), odd >> bits * (d // 2)
-        # c[d:] starts with an odd coefficient when d is odd
-        top = _unpack_halves(*((top_e, top_o) if d % 2 == 0 else (top_o, top_e)),
-                             width, qlen, m)
-        se, so = _halves(*_times(_points(top[::-1], width), self._recip), width)
-        qrev = _unpack_halves(se & (1 << bits * ((qlen + 1) // 2)) - 1,
-                              so & (1 << bits * (qlen // 2)) - 1, width, qlen, m)
-        te, to = _halves(*_times(_points(qrev[::-1], width), self._f_low), width)
+    def _remainder(self, even: int, odd: int, n: int) -> tuple[int, int, int]:
+        # c mod f from the packs of c, d < n = len(c) < 2d; see the class docstring
+        width = self._width
+        te, to = _halves(*_times(_pair(*self._quotient(even, odd, n), width),
+                                 self._f_low), width)
         (mask_e, mask_o), (bias_e, bias_o) = self._masks, self._bias
-        return _unpack_halves((even & mask_e) + bias_e - (te & mask_e),
-                              (odd & mask_o) + bias_o - (to & mask_o), width, d, m)
+        return (*self._reduce_slots((even & mask_e) + bias_e - (te & mask_e),
+                                    (odd & mask_o) + bias_o - (to & mask_o), self.d), self.d)
+
+    def _quotient(self, even: int, odd: int, n: int) -> tuple[int, int]:
+        """The packs of c div f, slots reduced, from the packs of c,
+        d < n = len(c) < 2d: the top n - d coefficients of
+        (c div x^d)*mu."""
+        d, width = self.d, self._width
+        bits = 8 * width
+        top = _pair(*self._reduce_slots(*_drop(even, odd, d, bits), n - d), width)
+        prod = _halves(*_times(top, self._mu), width)
+        return self._reduce_slots(*_drop(*prod, d - 2, bits), n - d)
+
+    def _reduce_slots(self, even: int, odd: int, n: int) -> tuple[int, int]:
+        """Every slot of the packs of n coefficients, each below 2^B,
+        reduced into [0, m); see the class docstring."""
+        bits = 8 * self._width
+        split = bits * ((n + 1) // 2)
+        y = even | odd << split
+        alt, k, m = self._alt, self._barrett, self.m
+        y -= ((((y & alt) * k) >> bits & alt) | (((y >> bits) & alt) * k & self._alt_hi)) * m
+        y -= ((y + self._borrow) >> m.bit_length() & self._ones) * m
+        return y & (1 << split) - 1, y >> split
 
 
 @functools.lru_cache(maxsize=32)
@@ -412,8 +472,8 @@ def poly_mul_mod(a: ModPoly, b: ModPoly, f: ModPoly) -> ModPoly:
 
 def poly_pow_mod(a: ModPoly, e: int, f: ModPoly) -> ModPoly:
     """a**e mod f by the binary_power ladder, whose binary_method_mults(e)
-    ring multiplications are tallied on the active OpCounter.  Each
-    multiply by a reuses the packed images of a."""
+    ring multiplications are tallied on the active OpCounter.  From deg f
+    = _KRONECKER_MIN on, a is packed once and the result unpacked once."""
     if e < 0:
         raise ValueError("negative exponent")
     _check_ring_args(a, a, f)
@@ -422,12 +482,7 @@ def poly_pow_mod(a: ModPoly, e: int, f: ModPoly) -> ModPoly:
         counter.poly_mults += binary_method_mults(e)
     if e == 0:
         return ModPoly.one(f.modulus)
-    reducer = _reducer_for(f)
-    base = a.coeffs
-    packed_base = reducer.points(base)
-    return ModPoly(f.modulus, binary_power(
-        base, e, lambda y: reducer.mul(y, y),
-        lambda y: reducer.mul(y, base, packed_base)))
+    return ModPoly(f.modulus, _reducer_for(f).power(a.coeffs, e))
 
 
 def random_poly(max_deg_exclusive: int, modulus: int, seed: int) -> ModPoly:

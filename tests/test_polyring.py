@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -16,12 +17,15 @@ from abprime import (
     poly_pow_mod,
     random_poly,
 )
+from abprime.instrument import binary_method_mults
 from abprime.polyring import (
     _KRONECKER_MIN,
+    _Reducer,
     _divmod_schoolbook,
     _mul_coeffs,
     _mul_kronecker,
     _mul_schoolbook,
+    _pack,
     _reducer_for,
 )
 
@@ -302,18 +306,83 @@ def test_pow_and_mul_match_schoolbook_property(operands):
         _mul_schoolbook(a, b, m) if a and b else [], f, m))
 
 
-def test_full_length_pow_takes_fused_pass():
-    # one kernel rule: at deg f = 20 >= _KRONECKER_MIN a full-length base
-    # is multiplied by the fused Kronecker pass, which sets up its slots
+def test_full_length_pow_takes_fused_pass(monkeypatch):
+    # one kernel rule: at deg f = 20 >= _KRONECKER_MIN the ladder runs on
+    # packed elements: the base is packed once, every ring multiplication
+    # is a packed product, and the result is unpacked once
     rng = random.Random(18)
     m, d = 2**61 - 1, 20
     assert d >= _KRONECKER_MIN
     f = ModPoly(m, [rng.randrange(m) for _ in range(d)] + [1])
     a = ModPoly(m, [rng.randrange(m) for _ in range(d - 1)] + [1])
     _reducer_for.cache_clear()
+    calls = collections.Counter()
+    for name in ("mul", "_packed", "_unpacked", "_mul"):
+        def spy(self, *args, _orig=getattr(_Reducer, name), _name=name):
+            calls[_name] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(_Reducer, name, spy)
     got = poly_pow_mod(a, 1000, f)
-    assert _reducer_for(f)._width is not None
+    assert calls == {"_packed": 1, "_unpacked": 1, "_mul": binary_method_mults(1000)}
     assert got == ModPoly(m, _reference_pow(list(a.coeffs), 1000, list(f.coeffs), m))
+
+
+def _packs(values, width):
+    return _pack(values[0::2], width), _pack(values[1::2], width)
+
+
+@st.composite
+def _slot_operands(draw):
+    # the moduli cross the byte boundaries of the slot width W
+    m = draw(st.one_of(
+        st.sampled_from([2, 3, 255, 256, 257, 2**61 - 1, 2**64 - 1, 2**64 + 1]),
+        st.integers(2, 2**256)))
+    d = draw(st.integers(_KRONECKER_MIN, 4 * _KRONECKER_MIN))
+    return m, d, draw(st.integers(1, d)), draw(st.randoms(use_true_random=False))
+
+
+@_PROPERTY
+@given(_slot_operands())
+def test_reduce_slots_matches_per_slot_mod_property(operands):
+    # slots up to the stated bounds: c + BIAS as _remainder forms it, at
+    # most 2 d m^2, and the 2^B - 1 that _reduce_slots accepts
+    m, d, n, rnd = operands
+    reducer = _Reducer(ModPoly(m, [1] * (d + 1)))
+    width = reducer._setup()
+    cap, bound = 1 << 8 * width, d * (m - 1) ** 2 + d * m * m
+    assert 2 * d * m * m < cap
+    values = [rnd.choice((0, m - 1, m, bound, bound - rnd.randrange(m), cap - 1,
+                          rnd.randrange(bound + 1), rnd.randrange(cap)))
+              for _ in range(n)]
+    assert reducer._reduce_slots(*_packs(values, width), n) == \
+        _packs([v % m for v in values], width)
+
+
+@st.composite
+def _quotient_operands(draw):
+    rnd = random.Random(draw(st.integers(0, 2**64)))
+    m = (rnd.choice([2, 15, 341, 2**61 - 1]) if rnd.random() < 0.4
+         else rnd.randrange(2, 2**rnd.randint(2, 256) + 1))
+    d = draw(st.integers(16, 120))
+    c = _stress_vector(rnd, m, rnd.randint(d + 1, 2 * d - 1))
+    return m, c, _stress_vector(rnd, m, d) + [1], rnd
+
+
+@_PROPERTY
+@given(_quotient_operands())
+def test_mu_quotient_matches_schoolbook_property(operands):
+    # c's slots carry multiples of m up to d (m-1)^2, the largest column
+    # sum of a product, as the slots of a packed product do
+    m, c, f, rnd = operands
+    d = len(f) - 1
+    reducer = _Reducer(ModPoly(m, f))
+    width = reducer._setup()
+    slots = [v + m * rnd.randrange((d * (m - 1) ** 2 - v) // m + 1)
+             if rnd.random() < 0.5 else v for v in c]
+    expected = list(c)
+    _divmod_schoolbook(expected, f, m)
+    assert reducer._quotient(*_packs(slots, width), len(c)) == \
+        _packs(expected[d:], width)
 
 
 def test_random_poly_determinism_and_support():
