@@ -3,7 +3,9 @@
     python3 scripts/bench_census.py --src SRC --label NAME [--seed 1] [--out BENCH_census.json]
 
 Imports the library from SRC and times the calls of perfbench's
-census-exact workload for SEED, each call as the best of REPEATS runs.
+census-exact workload for SEED, each call as the best of REPEATS runs,
+scaled to the reference CPU speed of perfbench/calibrate.py measured around
+those runs, as perfbench scales its gated timings.
 `ab_failure_census_mod_p` and `root_count_in_extension` are grouped by the
 (p, deg f) class: a class's census rate is its p^deg f elements summed over
 its calls, divided by the summed best times, and its root-count row gives
@@ -26,6 +28,9 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import calibrate  # noqa: E402
+
 REPEATS = 3
 NEAR_CAP = ((700, 7, 6), (413499, 409, 2))
 
@@ -41,12 +46,14 @@ def first_irreducible(p: int, d: int):
 
 
 def seconds(run, repeats: int) -> float:
+    """The best of repeats runs, in seconds at calibrate's reference speed."""
+    before = calibrate.reference_seconds()
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
         run()
         best = min(best, time.perf_counter() - start)
-    return best
+    return best * calibrate.speed(before, calibrate.reference_seconds())
 
 
 def main() -> int:
@@ -57,7 +64,7 @@ def main() -> int:
     ap.add_argument("--out", default="BENCH_census.json")
     args = ap.parse_args()
     src = os.path.abspath(args.src)
-    sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
+    sys.path.insert(0, src)
     from workloads import census_exact
 
     from abprime import ab_failure_census_mod_p
@@ -105,6 +112,8 @@ def main() -> int:
     record.setdefault("runs", {})[args.label] = {
         "seed": args.seed,
         "repeats": REPEATS,
+        "times": ("seconds at the reference speed of perfbench/calibrate.py "
+                  f"(NOMINAL_S = {calibrate.NOMINAL_S} s), measured around each call"),
         "enumeration_limit": ENUMERATION_LIMIT,
         "classes": classes,
         "root_count_classes": root_counts,

@@ -13,6 +13,11 @@ deg, it records:
   multiplications, the cost of one step of the ladder, whose elements
   need not be packed and unpacked at each step as one poly_mul_mod's are;
   only up to POW_MAX_DEG, as one call at 8192 x 256 takes minutes;
+- euclid_ms: _euclid(f', f, bezout=False), the gcd-only Euclid of the
+  squarefree check, with f taken mod the first prime above m, so that the
+  Euclid runs to its end instead of stopping at a factor of m; only up to
+  EUCLID_MAX_DEG, as the list Euclid it replaced takes seconds a call
+  there;
 - operand_kbit: the largest integer _mul_coeffs hands to a big-integer
   multiply.
 
@@ -35,6 +40,8 @@ import random
 import sys
 import time
 
+import sympy
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
 import calibrate  # noqa: E402
@@ -45,6 +52,7 @@ SHORT = (4, 6, 8, 9, 10, 12, 16, 24, 32)
 LONG = ("bal", 64, 3000)
 THRESHOLD_BITS = (5, 7, 12, 24, 64, 128)
 POW_MAX_DEG = 512
+EUCLID_MAX_DEG = 2048
 REPS = 3
 MIN_S = 0.2
 
@@ -90,11 +98,17 @@ def kernel_row(polyring, deg: int, bits: int) -> dict:
     poly_mul_mod(pa, pb, f)  # builds the reducer for f outside the timings
     pow_step = (best_time(lambda: poly_pow_mod(pa, m, f)) / binary_method_mults(m)
                 if deg <= POW_MAX_DEG else None)
+    euclid = None
+    if deg <= EUCLID_MAX_DEG:
+        fp = f.reduce_to_modulus(int(sympy.nextprime(m)))
+        fd = ModPoly(fp.modulus, [k * c for k, c in enumerate(fp.coeffs)][1:])
+        euclid = best_time(lambda: polyring._euclid(fd, fp, bezout=False))
     return {
         "mul_us": round(best_time(lambda: polyring._mul_coeffs(a, b, m)) * 1e6, 1),
         "mul_mod_us": round(best_time(lambda: poly_mul_mod(pa, pb, f)) * 1e6, 1),
         "square_mod_us": round(best_time(lambda: poly_mul_mod(pa, pa, f)) * 1e6, 1),
         "pow_step_us": None if pow_step is None else round(pow_step * 1e6, 1),
+        "euclid_ms": None if euclid is None else round(euclid * 1e3, 3),
         "operand_kbit": round(operand_bits(polyring, lambda: polyring._mul_coeffs(a, b, m)) / 1000, 2),
     }
 
@@ -141,8 +155,8 @@ def main() -> int:
         "kronecker_min": polyring._KRONECKER_MIN,
     }
     record["shapes"] = "kernels: deg x modulus bits; schoolbook_over_kronecker: bits x longer length, keyed by shorter length"
-    record["times"] = ("microseconds at the reference speed of perfbench/calibrate.py "
-                       f"(NOMINAL_S = {calibrate.NOMINAL_S} s), measured around each cell")
+    record["times"] = ("microseconds (euclid_ms: milliseconds) at the reference speed "
+                       f"of perfbench/calibrate.py (NOMINAL_S = {calibrate.NOMINAL_S} s), measured around each cell")
     record["environment"] = {
         "python": platform.python_version(),
         "machine": platform.machine(),

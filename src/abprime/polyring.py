@@ -26,10 +26,14 @@ remainder is formed on the packs with a bias that keeps every slot
 nonnegative, and a slot-parallel Barrett reduction brings every slot back
 into [0, N) with a few big-integer operations.  poly_pow_mod mod an f of
 degree at least _KRONECKER_MIN packs its base once, keeps the ladder
-packed, short bases included, and unpacks the result once.  The
-schoolbook division runs in place and leaves the quotient above the
-remainder, so Euclid uses the same loop.  The paths agree coefficient for
-coefficient; the threshold is a tuning constant only.
+packed, short bases included, and unpacks the result once.  The paths
+agree coefficient for coefficient; the threshold is a tuning constant only.
+
+Euclid (poly_is_unit_mod, and the gcd-only _euclid) keeps each remainder
+and each Bezout multiplier as one pack, slot i holding coefficient i: a
+division step is a short scalar division on the top slots, one
+big-by-small product, a bias that keeps every slot nonnegative and the
+same slot-parallel Barrett reduction, whatever the degree.
 
 Text serialization is a single line ``N; c0,c1,...,cd`` with decimal
 integers, index = degree.
@@ -293,6 +297,37 @@ def _divmod_schoolbook(c: list[int], f: Sequence[int], m: int) -> None:
                     c[i - d + j] = (c[i - d + j] - t * f[j]) % m
 
 
+class _Slots:
+    """Slot-parallel Barrett reduction (Barrett, CRYPTO '86) mod m of a
+    pack of at most n slots of B = 8W bits, each slot below 2^B.
+
+    The pack is masked into alternate slots, so each occupied slot y has an
+    empty one above it and y * floor(2^B / m) < 2^(2B) carries into
+    nothing; q' = floor(y floor(2^B / m) / 2^B) is formed in every slot at
+    once, and y - q' m lies in [0, 2m).  One subtraction of m, in the slots
+    whose y - q' m + 2^t - m has bit t = bits(m) set, leaves every slot in
+    [0, m).  The masks are built once per object, for n slots: a 1 in each
+    slot, 2^t - m in each slot, and all ones in every other slot.
+    """
+
+    __slots__ = ("m", "bits", "ones", "barrett", "borrow", "alt", "alt_hi")
+
+    def __init__(self, m: int, width: int, n: int):
+        bits = 8 * width
+        self.m, self.bits = m, bits
+        self.ones = ((1 << bits * n) - 1) // ((1 << bits) - 1)
+        self.barrett = (1 << bits) // m
+        self.borrow = ((1 << m.bit_length()) - m) * self.ones
+        pairs = (n + 1) // 2
+        self.alt = ((1 << bits) - 1) * (((1 << 2 * bits * pairs) - 1) // ((1 << 2 * bits) - 1))
+        self.alt_hi = self.alt << bits
+
+    def __call__(self, y: int) -> int:
+        bits, alt, k, m = self.bits, self.alt, self.barrett, self.m
+        y -= ((((y & alt) * k) >> bits & alt) | (((y >> bits) & alt) * k & self.alt_hi)) * m
+        return y - ((y + self.borrow) >> m.bit_length() & self.ones) * m
+
+
 class _Reducer:
     """Ring multiplication modulo one fixed monic f of degree d.
 
@@ -313,14 +348,10 @@ class _Reducer:
     Every slot of c, of (c div x^d)*mu and of q*f is at most d(m-1)^2, and
     every BIAS slot is d m^2, a multiple of m, so each slot of c + BIAS and
     of r lies in [0, 2 d m^2]: no borrow crosses a slot, and every slot
-    handed to _reduce_slots is below 2^B.  _reduce_slots reduces all the
-    slots of both packs at once (Barrett, CRYPTO '86): it lays the packs end
-    to end, masks them into alternate slots, so each occupied slot y < 2^B
-    has an empty one above it and y * floor(2^B / m) < 2^(2B) carries into
-    nothing, and forms q' = floor(y floor(2^B / m) / 2^B) in every slot;
-    y - q' m lies in [0, 2m), and one subtraction of m, in the slots whose
-    y - q' m + 2^t - m has bit t = bits(m) set, leaves it in [0, m).  The
-    ladder keeps its elements packed from the first product to the last.
+    handed to _reduce_slots is below 2^B.  _reduce_slots lays the two packs
+    end to end and reduces all their slots at once with _Slots, the
+    slot-parallel Barrett step that Euclid shares.  The ladder keeps its
+    elements packed from the first product to the last.
     """
 
     def __init__(self, f: ModPoly):
@@ -342,15 +373,7 @@ class _Reducer:
                           _pack([bias] * (d // 2), width))
             self._masks = ((1 << bits * ((d + 1) // 2)) - 1,
                            (1 << bits * (d // 2)) - 1)
-            # for _reduce_slots: a 1 in each of d slots, floor(2^B / m),
-            # 2^t - m in each slot, and all ones in every other slot
-            self._ones = ((1 << bits * d) - 1) // ((1 << bits) - 1)
-            self._barrett = (1 << bits) // m
-            self._borrow = ((1 << m.bit_length()) - m) * self._ones
-            pairs = (d + 1) // 2
-            self._alt = ((1 << bits) - 1) * (((1 << 2 * bits * pairs) - 1)
-                                             // ((1 << 2 * bits) - 1))
-            self._alt_hi = self._alt << bits
+            self._slots = _Slots(m, width, d)
             self._width = width
         return self._width
 
@@ -433,13 +456,9 @@ class _Reducer:
 
     def _reduce_slots(self, even: int, odd: int, n: int) -> tuple[int, int]:
         """Every slot of the packs of n coefficients, each below 2^B,
-        reduced into [0, m); see the class docstring."""
-        bits = 8 * self._width
-        split = bits * ((n + 1) // 2)
-        y = even | odd << split
-        alt, k, m = self._alt, self._barrett, self.m
-        y -= ((((y & alt) * k) >> bits & alt) | (((y >> bits) & alt) * k & self._alt_hi)) * m
-        y -= ((y + self._borrow) >> m.bit_length() & self._ones) * m
+        reduced into [0, m), by _Slots on the packs laid end to end."""
+        split = 8 * self._width * ((n + 1) // 2)
+        y = self._slots(even | odd << split)
         return y & (1 << split) - 1, y >> split
 
 
@@ -506,7 +525,10 @@ def poly_is_unit_mod(u: ModPoly, f: ModPoly) -> UnitOutcome:
     Returns Unit(inverse) when the gcd computation terminates in an
     invertible constant, NonUnit(gcd) when a nonconstant monic gcd survives
     (f when u is zero), and FactorFound(d) as soon as a leading-coefficient
-    inversion exposes a proper divisor d of N.
+    inversion exposes a proper divisor d of N.  The Euclid is _euclid's
+    packed one with the Bezout track: its remainders are unit multiples of
+    the monic ones, so the divisor d, the monic gcd and the inverse are
+    those of the Euclid that makes every remainder monic.
     """
     out = _euclid(u, f, bezout=True)
     if isinstance(out, FactorFound):
@@ -522,35 +544,93 @@ def _euclid(u: ModPoly, f: ModPoly, bezout: bool):
     coefficient exposes a proper divisor d of N, else (g, s) with g the
     coefficients of the monic gcd (f when u is zero) and, when bezout is
     set, s with s*u = g mod f (None otherwise).  Callers that read only the
-    gcd leave bezout off and skip the s-track."""
+    gcd leave bezout off and skip the s-track.
+
+    Every remainder, and every s, is one packed int: slot i holds
+    coefficient i in [0, N), in slots of B = 8W bits with
+    W = ceil((2 bits(N) + bits(d + 1)) / 8), so 2^B > (d + 1) N^2.  A
+    remainder is never made monic.  Its degree is bit_length() // B, as
+    every slot is below N < 2^(B-1), and its leading coefficient one shift;
+    try_invert meets the leading coefficients in the order of the list
+    Euclid and stops at the same first non-unit.  The quotient Q of r0 by
+    r1, with the inverse of r1's leading coefficient folded in, comes from
+    scalar long division on the top slots (two coefficients in the normal
+    step).  The new remainder is r0 + BIAS - Q*r1 over the deg r0 + 1 slots
+    of Q*r1: every slot of Q*r1 is at most len(Q) (N-1)^2, and every BIAS
+    slot is len(Q) N^2, a multiple of N, with len(Q) <= d, so each slot
+    lies in [0, (d + 1) N^2), no borrow crosses a slot, and one
+    slot-parallel Barrett step (_Slots) brings all of them into [0, N); the
+    top len(Q) slots, multiples of N, become 0.  The s-track takes the same
+    step over the d - deg r1 + 1 slots of Q*s.  Each remainder is then a
+    unit multiple of the monic one the list Euclid forms, and s the same
+    multiple of its s: the same leading coefficients are non-units, with
+    the same gcd with N.  The gcd and s are scaled once, at the end, by the
+    inverse of the last leading coefficient, which gives the list Euclid's
+    results exactly."""
     if u.modulus != f.modulus:
         raise ValueError("modulus mismatch")
     if not f.is_monic() or f.degree < 1:
         raise ValueError("modulus polynomial must be monic of degree >= 1")
     if u.degree >= f.degree:
         raise ValueError("need deg u < deg f")
-    m = f.modulus
-    # invariant: r_i == s_i * u  (mod f); f itself enters with s = 0
-    r0, s0 = list(f.coeffs), ModPoly.zero(m) if bezout else None
-    r1, s1 = list(u.coeffs), ModPoly.one(m) if bezout else None
+    m, d = f.modulus, f.degree
+    width = (2 * m.bit_length() + (d + 1).bit_length() + 7) // 8
+    bits = 8 * width
+    slots = _Slots(m, width, d + 1)
+    slot_mask = (1 << bits) - 1
+    squares = m * m * slots.ones  # m^2 in each of d + 1 slots
+    bias2 = 2 * squares
+    # invariant: r_i == s_i * u  (mod f); f itself enters with s = 0, and
+    # inv0 is the inverse of r0's leading coefficient
+    r0, s0, n0, inv0 = _pack(f.coeffs, width), 0, d, 1
+    r1, s1 = _pack(u.coeffs, width), 1
     while r1:
-        lead = r1[-1]
+        n1 = r1.bit_length() // bits
+        lead, inv1 = r1 >> bits * n1, 1
         if lead != 1:
             out = try_invert(lead, m)
             if isinstance(out, FactorFound):
                 return out
-            r1 = [c * out.value % m for c in r1]
-            if bezout:
-                s1 = ModPoly(m, [c * out.value for c in s1.coeffs])
-        if len(r1) == 1:
-            return r1, s1
-        # long-divide r0 by the now monic r1, updating the s-track alongside
-        db = len(r1) - 1
-        _divmod_schoolbook(r0, r1, m)
+            inv1 = out.value
+        if n1 == 0:
+            return [1], _scaled(s1, inv1, width, m) if bezout else None
+        # Q = r0 div r1, from the top n0 - n1 + 1 slots of r0 and of r1
+        size = n0 - n1 + 1
+        if size == 2:
+            top = r0 >> bits * n1
+            q1 = (top >> bits) * inv1 % m
+            q0 = ((top & slot_mask) - q1 * (r1 >> bits * (n1 - 1) & slot_mask)) * inv1 % m
+            q = q1 << bits | q0
+            bias = bias2
+        else:
+            q = _pack(_top_quotient(_unpack(r0 >> bits * n1, width, size, m),
+                                    _unpack(r1 << bits * size >> bits * (n1 + 1),
+                                            width, size, m), inv1, m), width)
+            bias = size * squares
+        # BIAS in every slot of Q*r1; the top size slots then reduce to 0
+        r0, r1 = r1, slots(r0 + (bias >> bits * (d - n0)) - q * r1)
         if bezout:
-            s0, s1 = s1, s0 - ModPoly(m, _mul_coeffs(r0[db:], s1.coeffs, m))
-        del r0[db:]
-        while r0 and r0[-1] == 0:
-            r0.pop()
-        r0, r1 = r1, r0
-    return r0, s0
+            # deg s1 = d - n0, and the new s has degree d - n1 exactly
+            s0, s1 = s1, slots(s0 + (bias >> bits * n1) - q * s1)
+        n0, inv0 = n1, inv1
+    g = [c * inv0 % m for c in _unpack(r0, width, n0 + 1, m)]
+    return g, _scaled(s0, inv0, width, m) if bezout else None
+
+
+def _top_quotient(a: list[int], b: list[int], inv: int, m: int) -> list[int]:
+    """The quotient of the dividend by the divisor over Z/mZ from their top
+    coefficients: a holds the top len(a) of the dividend, b the top len(a)
+    of the divisor, whose leading coefficient b[-1] has inverse inv."""
+    size = len(a)
+    q = [0] * size
+    for j in range(size - 1, -1, -1):
+        c = q[j] = a[j] * inv % m
+        if c:
+            for t in range(1, j + 1):
+                a[j - t] -= c * b[size - 1 - t]
+    return q
+
+
+def _scaled(s: int, inv: int, width: int, m: int) -> ModPoly:
+    # the polynomial packed in s, times inv
+    return ModPoly(m, [c * inv for c in _unpack(s, width, s.bit_length() // (8 * width) + 1, m)])

@@ -800,9 +800,12 @@ def construct_poly_pipeline(
     from power sums; a k <= deg f sharing a factor with n is returned as
     FactorFound(gcd(k, n)).  For a system of several pairs, one Euclid
     decides whether f' is a unit mod f, i.e. whether f is squarefree modulo
-    every p | n; a divisor of n met there is returned as FactorFound(d), and
-    a nonconstant gcd raises TensorDependency, a distinct failure that
-    neither certifies compositeness nor produces a polynomial.  Returns
+    every p | n.  It is polyring's packed gcd-only Euclid, whose remainders
+    are unit multiples of the monic ones, so it meets the same non-unit
+    leading coefficient first.  A divisor of n met there is returned as
+    FactorFound(d), and a nonconstant gcd raises TensorDependency, a
+    distinct failure that neither certifies compositeness nor produces a
+    polynomial.  Returns
     Constructed(f, ...) with deg f in [D, 2D) on success, and None when no
     period system of the target degree exists within the search caps of
     find_period_system.

@@ -22,6 +22,7 @@ from abprime.polyring import (
     _KRONECKER_MIN,
     _Reducer,
     _divmod_schoolbook,
+    _euclid,
     _mul_coeffs,
     _mul_kronecker,
     _mul_schoolbook,
@@ -383,6 +384,93 @@ def test_mu_quotient_matches_schoolbook_property(operands):
     _divmod_schoolbook(expected, f, m)
     assert reducer._quotient(*_packs(slots, width), len(c)) == \
         _packs(expected[d:], width)
+
+
+def _reference_euclid(u, f, bezout):
+    # the list Euclid: each remainder made monic, then long division by
+    # _divmod_schoolbook, the s-track updated alongside
+    m = f.modulus
+    r0, s0 = list(f.coeffs), ModPoly.zero(m) if bezout else None
+    r1, s1 = list(u.coeffs), ModPoly.one(m) if bezout else None
+    while r1:
+        lead = r1[-1]
+        if lead != 1:
+            if math.gcd(lead, m) != 1:
+                return FactorFound(math.gcd(lead, m))
+            inv = pow(lead, -1, m)
+            r1 = [c * inv % m for c in r1]
+            if bezout:
+                s1 = ModPoly(m, [c * inv for c in s1.coeffs])
+        if len(r1) == 1:
+            return r1, s1
+        db = len(r1) - 1
+        _divmod_schoolbook(r0, r1, m)
+        if bezout:
+            s0, s1 = s1, s0 - ModPoly(m, _mul_schoolbook(r0[db:], s1.coeffs, m))
+        del r0[db:]
+        while r0 and r0[-1] == 0:
+            r0.pop()
+        r0, r1 = r1, r0
+    return r0, s0
+
+
+def _times_mod(a, b, f):
+    # a*b mod f by schoolbook product and division
+    m = f.modulus
+    return ModPoly(m, _schoolbook_remainder(
+        _mul_schoolbook(a.coeffs, b.coeffs, m) if a.coeffs and b.coeffs else [],
+        f.coeffs, m))
+
+
+@st.composite
+def _euclid_operands(draw):
+    # drawn from rnd, not by hypothesis, which favours m = 2 and small d
+    rnd = random.Random(draw(st.integers(0, 2**64)))
+    m = (rnd.choice([2, 3, 4, 9, 15, 255, 256, 257, 341, 561, 2**61 - 1, 2**64 + 1])
+         if rnd.random() < 0.6 else rnd.randrange(2, 2**rnd.randint(2, 200) + 1))
+    d = rnd.randint(1, 80)
+    kind = rnd.choice(["random", "common", "drop", "zero", "constant"])
+    k = rnd.randint(1, d - 1) if d > 1 else 0
+    if kind == "common" and k:
+        # a planted common factor g of degree k: f = g h and u = g w
+        g = _stress_vector(rnd, m, k) + [1]
+        f = _mul_schoolbook(g, _stress_vector(rnd, m, d - k) + [1], m)
+        u = _mul_schoolbook(g, _stress_vector(rnd, m, rnd.randint(1, d - k)), m)
+    elif kind == "drop" and k:
+        # f = v w + r with deg r far below deg v - 1 and u = v: the step
+        # that divides v by r has a long quotient, whatever the modulus
+        v = _stress_vector(rnd, m, k) + [1]
+        f = _mul_schoolbook(v, _stress_vector(rnd, m, d - k) + [1], m)
+        r = _stress_vector(rnd, m, rnd.randint(0, k // 4))
+        f = [(c + (r[i] if i < len(r) else 0)) % m for i, c in enumerate(f)]
+        u = v
+    else:
+        f = _stress_vector(rnd, m, d) + [1]
+        u = _stress_vector(rnd, m, {"zero": 0, "constant": 1}.get(kind, rnd.randint(0, d)))
+    return ModPoly(m, u), ModPoly(m, f)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_euclid_operands())
+def test_euclid_matches_list_euclid_property(operands):
+    # the packed Euclid against the list one, with and without the s-track
+    u, f = operands
+    for bezout in (False, True):
+        out = _euclid(u, f, bezout)
+        assert out == _reference_euclid(u, f, bezout)
+    if isinstance(out, FactorFound):
+        assert 1 < out.divisor < f.modulus and f.modulus % out.divisor == 0
+        assert poly_is_unit_mod(u, f) == out
+        return
+    g, s = out
+    # s u = g mod f; for u = 0 the gcd is f itself, 0 mod f
+    m = f.modulus
+    assert _times_mod(s, u, f) == ModPoly(m, _schoolbook_remainder(g, f.coeffs, m))
+    unit = poly_is_unit_mod(u, f)
+    if len(g) > 1:
+        assert unit == NonUnit(ModPoly(f.modulus, g))
+    else:
+        assert _times_mod(unit.inverse, u, f) == ModPoly.one(f.modulus)
 
 
 def test_random_poly_determinism_and_support():
