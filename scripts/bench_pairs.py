@@ -12,11 +12,18 @@ BENCHMARK.json, both medians, the parent's quartile distance (q3 - q1 of
 share of the parent's median, exceeds the metric's bound.  Each run whose
 ``correct`` is false is flagged, and each side's failed share of attempted
 operations is printed as fail_frac.
+
+Every run has PYTHONDONTWRITEBYTECODE=1, so no run leaves bytecode for a
+later one.  ``setup_s`` includes compiling the sources whenever a
+checkout's ``src/abprime`` has no ``__pycache__``, and two checkouts
+compare fairly only in the same cache state: before each pair, a FLAG line
+names each checkout whose ``src/abprime`` holds one.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -27,7 +34,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def run(checkout: Path, cmd: list[str], timeout: float) -> dict:
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          check=True, timeout=timeout)
+                          check=True, timeout=timeout,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -46,6 +54,10 @@ def main(argv=None) -> int:
     results: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        for side, checkout in sides.items():
+            if (checkout / "src" / "abprime" / "__pycache__").exists():
+                print(f"FLAG pair {i} {side}: src/abprime holds __pycache__, "
+                      "so setup_s is not comparable")
         for side in order:
             out = run(sides[side], cmd, timeout=20 * spec["run_seconds"] + 600)
             results[side].append(out)

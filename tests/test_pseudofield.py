@@ -1,8 +1,11 @@
+import functools
 import math
 import random
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abprime import (
     AxiomReport,
@@ -25,15 +28,18 @@ from abprime import (
     tensor_product,
     verify_axioms,
 )
-from abprime.periodsys import PeriodSystem, find_period_system
+from abprime.intarith import factorize
+from abprime.periodsys import PeriodSystem, find_period_system, is_small_prime
 from abprime.primality import Divisor, Outcome, PipelineConfig, full_pipeline
 from abprime.pseudofield import (
     TensorDependency,
     _FactorHit,
+    _check_period_root,
     _composed_product,
     _fold,
     _verify_power_chain,
     _verify_structural,
+    _qth_powers,
     period_conjugates,
     smallest_primitive_root,
 )
@@ -229,6 +235,67 @@ def test_period_polynomial_corrupted_coefficient_is_caught(monkeypatch, j):
         construct_poly_pipeline(2111, 121)
 
 
+def _reference_period_root(r, q, n, coeffs):
+    # the list Horner: slot vectors modulo x^r - 1, multiplying by eta sums
+    # its (r-1)/q rotations, then zeta^(r-1) eliminated by from_slots
+    shifts = _qth_powers(r, q)
+    acc = [0] * r
+    for c in reversed(coeffs):
+        acc = [s % n for s in map(sum, zip(*[acc[-h:] + acc[:-h] for h in shifts]))]
+        acc[0] = (acc[0] + c) % n
+    if any(CyclotomicElt.from_slots(n, r, acc).coords):
+        raise RuntimeError(
+            f"period polynomial does not vanish at eta for (r={r}, q={q}, N={n})")
+
+
+def _raises(check, *args):
+    try:
+        check(*args)
+    except RuntimeError as exc:
+        assert "does not vanish" in str(exc)
+        return True
+    return False
+
+
+_SMALL_PRIMES = [p for p in range(3, 500) if is_small_prime(p)]
+
+
+@functools.lru_cache(maxsize=None)
+def _integer_period_coeffs(r, q):
+    # modulo 2^521 - 1: for r < 500 the coefficients stay below 3^250
+    return integer_period_polynomial(r, q, 2**521 - 1)
+
+
+@st.composite
+def _period_root_inputs(draw):
+    # drawn from rnd, not by hypothesis, which favours the smallest values
+    rnd = random.Random(draw(st.integers(0, 2**64)))
+    r = rnd.choice(_SMALL_PRIMES)
+    q = rnd.choice([p for p, _ in factorize(r - 1)])
+    n = (rnd.choice([2, 3, 4, 9, 15, 255, 256, 257, 341, 561, 2**61 - 1, 2**64 + 1])
+         if rnd.random() < 0.6 else rnd.randrange(2, 2**rnd.randint(2, 200) + 1))
+    return r, q, n, rnd.randrange(q + 1), rnd.choice([1, -1])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_period_root_inputs())
+def test_period_root_check_matches_list_horner_property(inputs):
+    # the packed check raises exactly where the list Horner does: never on
+    # f_{r,q}, always on f +- x^j, and on f + (n/p) x^j for a prime p | n,
+    # which vanishes modulo n/p but not modulo n, wherever the oracle does
+    r, q, n, j, sign = inputs
+    f = _integer_period_coeffs(r, q)
+    inputs = [(f, False), ([c + sign * (i == j) for i, c in enumerate(f)], True)]
+    # a prime p | n by trial division, plus 274177, the least factor of 2^64 + 1
+    p = next((d for d in [*range(2, 10**4), 274177] if n % d == 0), n)
+    if p < n:
+        inputs.append(([c + (n // p) * (i == j) for i, c in enumerate(f)], None))
+    for coeffs, want in inputs:
+        got = _raises(_check_period_root, r, q, n, coeffs)
+        assert got == _raises(_reference_period_root, r, q, n, coeffs), (r, q, n, j)
+        assert want is None or got == want, (r, q, n, j)
+
+
 def integer_power_sums(coeffs, count):
     """Oracle: p_k, k = 1..count (p[0] is unused), of the roots of the monic
     integer polynomial coeffs (constant term first), by Newton's identities."""
@@ -257,10 +324,10 @@ def integer_composed_product(polys):
     return b[::-1]
 
 
-def integer_period_polynomial(r, q):
-    """f_{r,q} over Z: period_polynomial modulo the prime 2^127 - 1, far
-    above its coefficients, lifted to symmetric representatives."""
-    m = 2**127 - 1
+def integer_period_polynomial(r, q, m=2**127 - 1):
+    """f_{r,q} over Z: period_polynomial modulo the prime m (2^127 - 1 by
+    default), far above its coefficients, lifted to symmetric
+    representatives."""
     return [c - m if 2 * c > m else c for c in period_polynomial(r, q, m).coeffs]
 
 
