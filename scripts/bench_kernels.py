@@ -21,6 +21,11 @@ deg, it records:
 - operand_kbit: the largest integer _mul_coeffs hands to a big-integer
   multiply.
 
+It records period_polynomial_ms, period_polynomial(r, q, PERIOD_PRIME) for
+each pair of PERIOD_PAIRS: the power sums, Newton's identities and the
+check f(eta) = 0, at a fixed 64-bit prime; the two large-r pairs, which
+take seconds, get one run each.
+
 It then records the schoolbook/Kronecker time ratio that sets
 _KRONECKER_MIN, for shorter operands of SHORT coefficients against a longer
 one of equal length ("bal") or of LONG coefficients.  Every time is the
@@ -53,15 +58,17 @@ LONG = ("bal", 64, 3000)
 THRESHOLD_BITS = (5, 7, 12, 24, 64, 128)
 POW_MAX_DEG = 512
 EUCLID_MAX_DEG = 2048
+PERIOD_PAIRS = ((367, 61, 3), (1087, 181, 3), (26021, 1301, 1), (25097, 3137, 1))  # (r, q, runs)
+PERIOD_PRIME = 2**64 - 59
 REPS = 3
 MIN_S = 0.2
 
 
-def best_time(fn, min_s: float = MIN_S) -> float:
+def best_time(fn, min_s: float = MIN_S, reps: int = REPS) -> float:
     """The fastest run of fn, in seconds at calibrate's reference speed."""
     before = calibrate.reference_seconds()
     times: list[float] = []
-    while len(times) < REPS or sum(times) < min_s:
+    while len(times) < reps or sum(times) < min_s:
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
@@ -123,6 +130,13 @@ def threshold_ratio(polyring, bits: int, short: int, long: int) -> float:
     return round(school / kron, 2)
 
 
+def period_ms(r: int, q: int, runs: int) -> float:
+    from abprime import period_polynomial
+
+    t = best_time(lambda: period_polynomial(r, q, PERIOD_PRIME), MIN_S if runs > 1 else 0, runs)
+    return round(t * 1e3, 2)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", required=True, help="directory holding the abprime package")
@@ -145,6 +159,10 @@ def main() -> int:
                 str(short): threshold_ratio(polyring, bits, short, short if long == "bal" else long)
                 for short in SHORT}
             print(bits, long, cells, flush=True)
+    periods = {}
+    for r, q, runs in PERIOD_PAIRS:
+        periods[f"{r},{q}"] = period_ms(r, q, runs)
+        print(r, q, periods[f"{r},{q}"], flush=True)
     record = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
@@ -153,9 +171,11 @@ def main() -> int:
         "kernels": kernels,
         "schoolbook_over_kronecker": threshold,
         "kronecker_min": polyring._KRONECKER_MIN,
+        "period_polynomial_ms": periods,
     }
-    record["shapes"] = "kernels: deg x modulus bits; schoolbook_over_kronecker: bits x longer length, keyed by shorter length"
-    record["times"] = ("microseconds (euclid_ms: milliseconds) at the reference speed "
+    record["shapes"] = ("kernels: deg x modulus bits; schoolbook_over_kronecker: bits x longer length, "
+                        f"keyed by shorter length; period_polynomial_ms: r,q at N = {PERIOD_PRIME}")
+    record["times"] = ("microseconds (euclid_ms, period_polynomial_ms: milliseconds) at the reference speed "
                        f"of perfbench/calibrate.py (NOMINAL_S = {calibrate.NOMINAL_S} s), measured around each cell")
     record["environment"] = {
         "python": platform.python_version(),

@@ -15,8 +15,8 @@ the search only for astronomically large N and D; at desk scale the
 enumeration bounds are fixed caps, r < max(64, 16D) and q < 2D, and the
 search is best-effort: when nothing fits, it honestly returns None.
 
-Other primes (the r and q handed to is_period_pair, the CRT primes of the
-period polynomials) are certified by is_small_prime: Miller-Rabin at the
+Other primes (the r and q handed to is_period_pair and the pseudofield
+checks) are certified by is_small_prime: Miller-Rabin at the
 first twelve prime bases, a proof of primality below
 PSI_12 = 318665857834031151167461, the least strong pseudoprime to all of
 them (Sorenson and Webster, Strong pseudoprimes to twelve prime bases,

@@ -536,7 +536,7 @@ def poly_is_unit_mod(u: ModPoly, f: ModPoly) -> UnitOutcome:
     g, s = out
     if len(g) > 1:
         return NonUnit(ModPoly(f.modulus, g))
-    return Unit(ModPoly(f.modulus, _reducer_for(f).reduce(list(s.coeffs))))
+    return Unit(s)
 
 
 def _euclid(u: ModPoly, f: ModPoly, bezout: bool):

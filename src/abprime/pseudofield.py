@@ -8,18 +8,16 @@ Gaussian period eta_{r,q} is the sum of zeta^i over the index-q subgroup of
 (Z/rZ)^x, and the period polynomial f_{r,q} is the monic degree-q product
 of (x - tau eta) over the q cosets.
 
-f_{r,q} has integer coefficients that do not depend on N, so they are
-found in F_P for enough primes P = 1 (mod r), where the periods are plain
-residues, then combined by CRT and reduced mod N.  That f(eta) = 0 in
-(Z/NZ)[zeta_r] is asserted once per call, never assumed: Horner runs on one
-int holding r slots modulo x^r - 1, where multiplying by eta sums shifted
-copies and polyring's slot-parallel Barrett step reduces every slot at
-once.  A period system's defining polynomial, the composed product of
-(x - alpha_i beta_j ...) over the roots of its period polynomials, is built
-in Z/NZ from power sums: p_k of the product is the product of the factors'
-p_k, and Newton's identities convert in both directions, dividing by k
-through try_invert; that the result has the product's power sums is
-asserted.
+f_{r,q} is built mod N from its power sums, which the constant terms of
+eta's powers give exactly.  Those powers, and the check f(eta) = 0 in
+(Z/NZ)[zeta_r], asserted once per call, run Horner on one int holding r
+slots modulo x^r - 1, where multiplying by eta sums shifted copies and
+polyring's slot-parallel Barrett step reduces every slot at once.  A period
+system's defining polynomial, the composed product of (x - alpha_i beta_j
+...) over the roots of its period polynomials, is built mod N from power
+sums too: p_k of the product is the product of the factors' p_k, and its
+recomputed power sums are asserted.  One loop of Newton's identities turns
+power sums into coefficients for both.
 
 A Pseudofield packages (N, f, deg f) for a monic f; its generator alpha is
 the residue of x and its distinguished endomorphism sigma is determined by
@@ -40,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .instrument import active_counter
 from .intarith import FactorFound, factorize, try_invert
@@ -297,86 +295,68 @@ def period_conjugates(r: int, q: int, n: int) -> list[CyclotomicElt]:
 def period_polynomial(r: int, q: int, n: int) -> ModPoly:
     """The monic degree-q polynomial with the conjugate periods as roots.
 
-    Each period sums (r-1)/q roots of unity, so |e_j| <= C(q, j) ((r-1)/q)^j.
-    The residues mod primes P = 1 (mod r) above 2^24, certified by
-    is_small_prime, are combined by CRT until the product of the primes
-    exceeds twice that bound, then lifted to symmetric representatives.
+    Its power sums come from the constant terms S_j of eta^j modulo
+    x^r - 1: summing sigma_a(eta^j) over all a in (Z/rZ)^x counts each
+    conjugate k = (r-1)/q times and sends zeta^t, t != 0, to -1, so
+    k p_j = r S_j - k^j over Z.  Newton's identities then run mod M = n g,
+    g the n-smooth part of q!: step j divides the n-smooth part of j out of
+    j e_j exactly, which costs that factor of M, so the coefficients come
+    out right mod n for every n (g = 1 when n has no prime factor <= q).
     That f(eta) = 0 in (Z/NZ)[zeta_r] is asserted; a failure is a hard
     internal error (RuntimeError), not a recoverable condition.
     """
     _check_pair_args(r, q, n)
-    residues = _qth_powers(r, q)
-    g = smallest_primitive_root(r)
-    cosets = [[i * pow(g, m, r) % r for i in residues] for m in range(q)]
-    bound = max(math.comb(q, j) * len(residues) ** j for j in range(q + 1))
-    coeffs, modulus = [0] * (q + 1), 1
-    p = (1 << 24) // r * r + 1
-    while modulus <= 2 * bound:
-        p += r
-        if not is_small_prime(p):
-            continue
-        t = pow(modulus, -1, p)
-        coeffs = [c + modulus * ((v - c) * t % p) for c, v in
-                  zip(coeffs, _period_polynomial_mod_prime(r, p, cosets))]
-        modulus *= p
-    coeffs = [c - modulus if 2 * c > modulus else c for c in coeffs]
+    k = (r - 1) // q
+    # the n-smooth part of j, as no prime divides j bits(j) times
+    smooth = [1] + [math.gcd(j, pow(n, j.bit_length(), j)) for j in range(1, q + 1)]
+    m = n * math.prod(smooth)
+    consts, _ = _eta_horner(r, q, k * m, [1] + [0] * q)
+    sums = [(r * s - pow(k, j, k * m)) % (k * m) // k for j, s in enumerate(consts)]
+    coeffs = [c % n for c in reversed(_newton(sums, m, smooth))]
     _check_period_root(r, q, n, coeffs)
     return ModPoly(n, coeffs)
 
 
-def _period_polynomial_mod_prime(
-    r: int, p: int, cosets: Sequence[Sequence[int]]
-) -> list[int]:
-    """prod (x - eta_m) over F_p, p = 1 (mod r), constant term first.
+def _eta_horner(
+    r: int, q: int, m: int, addends: Iterable[int]
+) -> tuple[list[int], bool]:
+    """Horner's rule acc <- eta acc + c in (Z/mZ)[x]/(x^r - 1), from acc = 0,
+    for c in addends: the constant term of acc after every step, and
+    whether all r slots of the last acc are equal.
 
-    zeta = h^((p-1)/r) for the least h giving zeta != 1 is a primitive r-th
-    root of unity, eta_m sums zeta^i over cosets[m], and the q linear
-    factors are multiplied pairwise up a product tree.
+    acc is one packed int: slot i, of B = 8W bits, holds the coefficient of
+    zeta^i in [0, m).  Multiplying by eta sums the k = (r-1)/q rotations by
+    the q-th power residues h, each two shifts of the int:
+    (acc << B h mod 2^(r B)) | acc >> (r - h) B.  Adding c mod m to slot 0
+    leaves every slot at most (k + 1)(m - 1) < 2^B, with
+    W = ceil((bits(m) + bits(k + 1)) / 8), which keeps the spare top bit
+    that the conditional subtraction of _Slots needs; one _Slots Barrett
+    step brings every slot back into [0, m).  A step costs O(r (r-1)/q)
+    word-parallel operations, less than one product by a packed eta.
     """
-    h = 2
-    while (zeta := pow(h, (p - 1) // r, p)) == 1:
-        h += 1
-    zeta_pows = [1] * r
-    for i in range(1, r):
-        zeta_pows[i] = zeta_pows[i - 1] * zeta % p
-    factors = [[-sum(zeta_pows[i] for i in coset) % p, 1] for coset in cosets]
-    while len(factors) > 1:
-        paired = [_mul_coeffs(a, b, p) for a, b in zip(factors[::2], factors[1::2])]
-        factors = paired + factors[2 * len(paired):]
-    return factors[0]
+    k = (r - 1) // q
+    width = (m.bit_length() + (k + 1).bit_length() + 7) // 8
+    bits = 8 * width
+    total = r * bits
+    low, mask = (1 << total) - 1, (1 << bits) - 1
+    slots = _Slots(m, width, r)
+    shifts = [bits * h for h in _qth_powers(r, q)]
+    acc, consts = 0, []
+    for c in addends:
+        acc = slots(sum((acc << h & low) | acc >> (total - h) for h in shifts) + c % m)
+        consts.append(acc & mask)
+    return consts, acc == (acc & mask) * slots.ones
 
 
 def _check_period_root(r: int, q: int, n: int, coeffs: Sequence[int]) -> None:
     """Raise RuntimeError unless f(eta) = 0 in (Z/nZ)[zeta_r].
 
-    Horner runs modulo x^r - 1 on one packed int: slot i, of B = 8W bits,
-    holds the coefficient of zeta^i in [0, n).  Multiplying by eta is the
-    sum of the k = (r-1)/q rotations by the q-th power residues h, slot i
-    to slot i + h mod r, each rotation two shifts of the int:
-    (acc << B h mod 2^(r B)) | acc >> (r - h) B.  Adding the coefficient
-    mod n to slot 0 leaves every slot at most (k + 1)(n - 1) < 2^B, with
-    W = ceil((bits(n) + bits(k + 1)) / 8), which also keeps the spare top
-    bit that the conditional subtraction of _Slots needs; one _Slots
-    Barrett step then brings every slot back into [0, n).  The shifts cost
-    O(r (r-1)/q) word-parallel operations in all, and beat one product by
-    a packed eta, whose operands are r slots long.
-
-    The result is a(x) of degree < r.  Phi_r = 1 + x + ... + x^(r-1) is
-    monic of degree r - 1, so a mod Phi_r is a - a_{r-1} Phi_r, whose
-    coefficients are a_i - a_{r-1}: a is 0 in (Z/nZ)[x]/(Phi_r) exactly
-    when all r slots are equal.
+    _eta_horner evaluates f at eta modulo x^r - 1, to a(x) of degree < r.
+    Phi_r = 1 + x + ... + x^(r-1) is monic of degree r - 1, so a mod Phi_r
+    is a - a_{r-1} Phi_r, whose coefficients are a_i - a_{r-1}: a is 0 in
+    (Z/nZ)[x]/(Phi_r) exactly when all r slots are equal.
     """
-    k = (r - 1) // q
-    width = (n.bit_length() + (k + 1).bit_length() + 7) // 8
-    bits = 8 * width
-    total = r * bits
-    low = (1 << total) - 1
-    slots = _Slots(n, width, r)
-    shifts = [bits * h for h in _qth_powers(r, q)]
-    acc = 0
-    for c in reversed(coeffs):
-        acc = slots(sum((acc << h & low) | acc >> (total - h) for h in shifts) + c % n)
-    if acc != (acc & ((1 << bits) - 1)) * slots.ones:
+    if not _eta_horner(r, q, n, reversed(coeffs))[1]:
         raise RuntimeError(
             f"period polynomial does not vanish at eta for (r={r}, q={q}, N={n})")
 
@@ -394,13 +374,27 @@ def _power_sums(f: ModPoly, count: int) -> list[int]:
     return p
 
 
+def _newton(sums: Sequence[int], m: int, smooth: Sequence[int] = ()) -> list[int]:
+    """b[k], the coefficient of x^(d-k), of the monic degree-d polynomial
+    whose power sums are sums[1..d] mod m, by Newton's identities
+    k b[k] = -sum(b[k-i] p_i, i = 1..k).  Step k divides by smooth[k] (1
+    without smooth) exactly, and by the rest of k through _invert_or_hit,
+    which raises _FactorHit on a k sharing a factor with m."""
+    b = [1]
+    for k in range(1, len(sums)):
+        s = smooth[k] if smooth else 1
+        t = -sum(map(mul, b, reversed(sums[1:k + 1]))) % m
+        b.append(t // s * _invert_or_hit(k // s % m, m) % m)
+    return b
+
+
 def _composed_product(fs: Sequence[ModPoly]) -> ModPoly:
     """The monic polynomial over Z/NZ whose roots are the products of one
     root of each monic polynomial in fs.
 
-    Its power sums are the products of theirs, and Newton's identities give
-    back its coefficients, dividing by k = 1..deg through _invert_or_hit (a
-    k sharing a factor with N raises _FactorHit).  That the result has the
+    Its power sums are the products of theirs, and Newton's identities
+    (_newton) give back its coefficients, dividing by k = 1..deg (a k
+    sharing a factor with N raises _FactorHit).  That the result has the
     product sums is asserted, by recomputing them from it.
     """
     if len(fs) == 1:
@@ -408,10 +402,7 @@ def _composed_product(fs: Sequence[ModPoly]) -> ModPoly:
     n = fs[0].modulus
     d = math.prod(f.degree for f in fs)
     sums = [math.prod(col) % n for col in zip(*(_power_sums(f, d) for f in fs))]
-    b = [1]  # b[k] is the coefficient of x^(d-k)
-    for k in range(1, d + 1):
-        b.append(-sum(map(mul, b, reversed(sums[1:k + 1]))) * _invert_or_hit(k, n) % n)
-    f = ModPoly(n, b[::-1])
+    f = ModPoly(n, _newton(sums, n)[::-1])
     if _power_sums(f, d) != sums:
         raise RuntimeError(f"the composed product mod {n} lost its power sums")
     return f

@@ -470,6 +470,7 @@ def test_euclid_matches_list_euclid_property(operands):
     if len(g) > 1:
         assert unit == NonUnit(ModPoly(f.modulus, g))
     else:
+        assert unit.inverse.degree < f.degree
         assert _times_mod(unit.inverse, u, f) == ModPoly.one(f.modulus)
 
 

@@ -4,7 +4,7 @@ import random
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abprime import (
@@ -30,6 +30,7 @@ from abprime import (
 )
 from abprime.intarith import factorize
 from abprime.periodsys import PeriodSystem, find_period_system, is_small_prime
+from abprime.polyring import _mul_coeffs
 from abprime.primality import Divisor, Outcome, PipelineConfig, full_pipeline
 from abprime.pseudofield import (
     TensorDependency,
@@ -217,17 +218,17 @@ def test_period_polynomial_matches_cyclotomic_expansion():
 
 @pytest.mark.parametrize("j", [0, 1, 30, 60])
 def test_period_polynomial_corrupted_coefficient_is_caught(monkeypatch, j):
-    # +1 on coefficient j modulo every CRT prime is +1 on the integer
-    # coefficient of x^j; the check f(eta) = 0 must reject it
+    # +1 on coefficient j of the power-sum route's output, on its way into
+    # the check; the check f(eta) = 0 must reject it
     import abprime.pseudofield as pf
-    real = pf._period_polynomial_mod_prime
+    real = pf._check_period_root
 
-    def corrupted(r, p, cosets):
-        coeffs = real(r, p, cosets)
+    def corrupted(r, q, n, coeffs):
+        coeffs = list(coeffs)
         coeffs[min(j, len(coeffs) - 2)] += 1
-        return coeffs
+        real(r, q, n, coeffs)
 
-    monkeypatch.setattr(pf, "_period_polynomial_mod_prime", corrupted)
+    monkeypatch.setattr(pf, "_check_period_root", corrupted)
     for r, q, n in [(7, 3, 341), (7, 3, 97), (367, 61, 2111), (367, 61, 1000001)]:
         with pytest.raises(RuntimeError, match="does not vanish"):
             period_polynomial(r, q, n)
@@ -258,22 +259,22 @@ def _raises(check, *args):
 
 
 _SMALL_PRIMES = [p for p in range(3, 500) if is_small_prime(p)]
+_NAMED_MODULI = [2, 3, 4, 9, 15, 255, 256, 257, 341, 561, 2**61 - 1, 2**64 + 1]
 
 
-@functools.lru_cache(maxsize=None)
-def _integer_period_coeffs(r, q):
-    # modulo 2^521 - 1: for r < 500 the coefficients stay below 3^250
-    return integer_period_polynomial(r, q, 2**521 - 1)
+def _period_pair_draw(rnd):
+    # r a prime below 500 and q any prime divisor of r - 1 (q = r - 1 = 2 at r = 3)
+    r = rnd.choice(_SMALL_PRIMES)
+    return r, rnd.choice([p for p, _ in factorize(r - 1)])
 
 
 @st.composite
 def _period_root_inputs(draw):
     # drawn from rnd, not by hypothesis, which favours the smallest values
     rnd = random.Random(draw(st.integers(0, 2**64)))
-    r = rnd.choice(_SMALL_PRIMES)
-    q = rnd.choice([p for p, _ in factorize(r - 1)])
-    n = (rnd.choice([2, 3, 4, 9, 15, 255, 256, 257, 341, 561, 2**61 - 1, 2**64 + 1])
-         if rnd.random() < 0.6 else rnd.randrange(2, 2**rnd.randint(2, 200) + 1))
+    r, q = _period_pair_draw(rnd)
+    n = (rnd.choice(_NAMED_MODULI) if rnd.random() < 0.6
+         else rnd.randrange(2, 2**rnd.randint(2, 200) + 1))
     return r, q, n, rnd.randrange(q + 1), rnd.choice([1, -1])
 
 
@@ -284,7 +285,7 @@ def test_period_root_check_matches_list_horner_property(inputs):
     # f_{r,q}, always on f +- x^j, and on f + (n/p) x^j for a prime p | n,
     # which vanishes modulo n/p but not modulo n, wherever the oracle does
     r, q, n, j, sign = inputs
-    f = _integer_period_coeffs(r, q)
+    f = integer_period_polynomial(r, q)
     inputs = [(f, False), ([c + sign * (i == j) for i, c in enumerate(f)], True)]
     # a prime p | n by trial division, plus 274177, the least factor of 2^64 + 1
     p = next((d for d in [*range(2, 10**4), 274177] if n % d == 0), n)
@@ -324,11 +325,70 @@ def integer_composed_product(polys):
     return b[::-1]
 
 
-def integer_period_polynomial(r, q, m=2**127 - 1):
-    """f_{r,q} over Z: period_polynomial modulo the prime m (2^127 - 1 by
-    default), far above its coefficients, lifted to symmetric
-    representatives."""
-    return [c - m if 2 * c > m else c for c in period_polynomial(r, q, m).coeffs]
+@functools.lru_cache(maxsize=None)
+def integer_period_polynomial(r, q):
+    """Oracle: f_{r,q} over Z, constant term first, by CRT over primes,
+    independent of the power sums.  In F_P, P = 1 (mod r), the periods are
+    plain residues: zeta = h^((P-1)/r) for the least h giving zeta != 1,
+    eta_m sums zeta^i over the m-th coset of the q-th powers, and the q
+    linear factors are multiplied pairwise up a product tree.  Each period
+    sums k = (r-1)/q roots of unity, so |e_j| <= C(q, j) k^j; primes P
+    above 2^24 are combined until their product exceeds twice that bound,
+    then the residues are lifted to symmetric representatives."""
+    residues = _qth_powers(r, q)
+    g = smallest_primitive_root(r)
+    cosets = [[i * pow(g, m, r) % r for i in residues] for m in range(q)]
+    bound = max(math.comb(q, j) * len(residues) ** j for j in range(q + 1))
+    coeffs, modulus = [0] * (q + 1), 1
+    p = (1 << 24) // r * r + 1
+    while modulus <= 2 * bound:
+        p += r
+        if not is_small_prime(p):
+            continue
+        h = 2
+        while (zeta := pow(h, (p - 1) // r, p)) == 1:
+            h += 1
+        powers = [1] * r
+        for i in range(1, r):
+            powers[i] = powers[i - 1] * zeta % p
+        factors = [[-sum(powers[i] for i in coset) % p, 1] for coset in cosets]
+        while len(factors) > 1:
+            paired = [_mul_coeffs(a, b, p) for a, b in zip(factors[::2], factors[1::2])]
+            factors = paired + factors[2 * len(paired):]
+        t = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((v - c) * t % p) for c, v in zip(coeffs, factors[0])]
+        modulus *= p
+    return tuple(c - modulus if 2 * c > modulus else c for c in coeffs)
+
+
+@st.composite
+def _period_polynomial_inputs(draw):
+    # drawn from rnd, not by hypothesis, which favours the smallest values;
+    # n is a named modulus, a power of 2, a product of primes <= q (so that
+    # Newton's divisions by j <= q meet n's primes), or random
+    rnd = random.Random(draw(st.integers(0, 2**64)))
+    r, q = _period_pair_draw(rnd)
+    small = [p for p in range(2, q + 1) if is_small_prime(p)]
+    n = r
+    while n % r == 0:
+        n = rnd.choice([
+            lambda: rnd.choice(_NAMED_MODULI),
+            lambda: 2**rnd.randint(1, 300),
+            lambda: math.prod(rnd.choices(small, k=rnd.randint(1, 4))),
+            lambda: rnd.randrange(2, 2**rnd.randint(2, 200) + 1),
+        ])()
+    return r, q, n
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_period_polynomial_inputs())
+@example((3, 2, 256))
+@example((3, 2, 2**64 + 1))
+@example((241, 5, 2 * 3 * 5))
+def test_period_polynomial_matches_crt_oracle_property(inputs):
+    # the power sums and Newton's identities mod n against the CRT over Z
+    r, q, n = inputs
+    assert period_polynomial(r, q, n) == ModPoly(n, integer_period_polynomial(r, q)), inputs
 
 
 def test_composed_product_examples(monkeypatch):
