@@ -10,12 +10,11 @@ of (x - tau eta) over the q cosets.
 
 f_{r,q} is built mod N from its power sums, which the constant terms of
 eta's powers give exactly.  Those powers, and the check f(eta) = 0 in
-(Z/NZ)[zeta_r], asserted once per call, run Horner on one int holding r
-slots modulo x^r - 1, where multiplying by eta sums shifted copies and
-polyring's slot-parallel Barrett step reduces every slot at once.  A period
-system's defining polynomial, the composed product of (x - alpha_i beta_j
-...) over the roots of its period polynomials, is built mod N from power
-sums too: p_k of the product is the product of the factors' p_k, and its
+(Z/NZ)[zeta_r], asserted once per call, run Horner modulo x^r - 1 on the
+q + 1 coset values of a polynomial in eta, one gather-and-sum of O(r)
+terms per step.  A period system's defining polynomial, the composed
+product of (x - alpha_i beta_j ...) over the roots of its period
+polynomials, is built mod N from power sums too: p_k of the product is the product of the factors' p_k, and its
 recomputed power sums are asserted.  One loop of Newton's identities turns
 power sums into coefficients for both.
 
@@ -37,8 +36,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from itertools import accumulate
+from operator import itemgetter, mul
+from typing import Optional, Sequence, Union
 
 from .instrument import active_counter
 from .intarith import FactorFound, factorize, try_invert
@@ -54,7 +54,6 @@ from .polyring import (
     ModPoly,
     Unit,
     UnitOutcome,
-    _Slots,
     _euclid,
     _mul_coeffs,
     poly_is_unit_mod,
@@ -298,54 +297,57 @@ def period_polynomial(r: int, q: int, n: int) -> ModPoly:
     Its power sums come from the constant terms S_j of eta^j modulo
     x^r - 1: summing sigma_a(eta^j) over all a in (Z/rZ)^x counts each
     conjugate k = (r-1)/q times and sends zeta^t, t != 0, to -1, so
-    k p_j = r S_j - k^j over Z.  Newton's identities then run mod M = n g,
-    g the n-smooth part of q!: step j divides the n-smooth part of j out of
-    j e_j exactly, which costs that factor of M, so the coefficients come
-    out right mod n for every n (g = 1 when n has no prime factor <= q).
-    That f(eta) = 0 in (Z/NZ)[zeta_r] is asserted; a failure is a hard
-    internal error (RuntimeError), not a recoverable condition.
+    k p_j = r S_j - k^j over Z.  Newton's identities then divide step j by
+    j: the n-smooth part s_j of j exactly, which costs that factor of
+    precision, and the rest as a unit mod n.  So p_j is taken mod m_j =
+    n s_j s_(j+1) ... s_q, and the coefficients come out right mod n for
+    every n (every s_j = 1 when n has no prime factor <= q).  That
+    f(eta) = 0 in (Z/NZ)[zeta_r] is asserted; a failure is a hard internal
+    error (RuntimeError), not a recoverable condition.
     """
     _check_pair_args(r, q, n)
     k = (r - 1) // q
     # the n-smooth part of j, as no prime divides j bits(j) times
     smooth = [1] + [math.gcd(j, pow(n, j.bit_length(), j)) for j in range(1, q + 1)]
-    m = n * math.prod(smooth)
-    consts, _ = _eta_horner(r, q, k * m, [1] + [0] * q)
-    sums = [(r * s - pow(k, j, k * m)) % (k * m) // k for j, s in enumerate(consts)]
-    coeffs = [c % n for c in reversed(_newton(sums, m, smooth))]
+    mods = list(accumulate(reversed(smooth), mul, initial=n))[::-1]
+    consts, _ = _eta_horner(r, q, [1] + [0] * q, [k * m for m in mods[:-1]])
+    sums = [(r * s - pow(k, j, k * m)) % (k * m) // k
+            for j, (s, m) in enumerate(zip(consts, mods))]
+    coeffs = [c % n for c in reversed(_newton(sums, mods))]
     _check_period_root(r, q, n, coeffs)
     return ModPoly(n, coeffs)
 
 
 def _eta_horner(
-    r: int, q: int, m: int, addends: Iterable[int]
+    r: int, q: int, addends: Sequence[int], moduli: Sequence[int]
 ) -> tuple[list[int], bool]:
     """Horner's rule acc <- eta acc + c in (Z/mZ)[x]/(x^r - 1), from acc = 0,
-    for c in addends: the constant term of acc after every step, and
-    whether all r slots of the last acc are equal.
+    for c, m in zip(addends, moduli), each m a multiple of the next: the
+    constant term of acc after every step, and whether all r coefficients
+    of the last acc are equal.
 
-    acc is one packed int: slot i, of B = 8W bits, holds the coefficient of
-    zeta^i in [0, m).  Multiplying by eta sums the k = (r-1)/q rotations by
-    the q-th power residues h, each two shifts of the int:
-    (acc << B h mod 2^(r B)) | acc >> (r - h) B.  Adding c mod m to slot 0
-    leaves every slot at most (k + 1)(m - 1) < 2^B, with
-    W = ceil((bits(m) + bits(k + 1)) / 8), which keeps the spare top bit
-    that the conditional subtraction of _Slots needs; one _Slots Barrett
-    step brings every slot back into [0, m).  A step costs O(r (r-1)/q)
-    word-parallel operations, less than one product by a packed eta.
+    acc, a polynomial in eta, is fixed by x -> x^h for each of the
+    k = (r-1)/q q-th power residues h, so it is kept as its q + 1 values on
+    the classes {0} and s H, {0} first.  The coefficient of x^t in eta acc
+    sums acc's at x^(t-h) over h: read at one t per class, r + k - 1 values
+    gathered through one index table, so a step costs O(r) additions
+    whatever q is.
     """
-    k = (r - 1) // q
-    width = (m.bit_length() + (k + 1).bit_length() + 7) // 8
-    bits = 8 * width
-    total = r * bits
-    low, mask = (1 << total) - 1, (1 << bits) - 1
-    slots = _Slots(m, width, r)
-    shifts = [bits * h for h in _qth_powers(r, q)]
-    acc, consts = 0, []
-    for c in addends:
-        acc = slots(sum((acc << h & low) | acc >> (total - h) for h in shifts) + c % m)
-        consts.append(acc & mask)
-    return consts, acc == (acc & mask) * slots.ones
+    powers = _qth_powers(r, q)
+    label = [0] * r  # the index of s's class in acc
+    reps = [0]
+    for s in range(1, r):
+        if not label[s]:
+            for h in powers:
+                label[s * h % r] = len(reps)
+            reps.append(s)
+    gather = itemgetter(*[label[(t - h) % r] for t in reps for h in powers])
+    acc, consts = [0] * len(reps), []
+    for c, m in zip(addends, moduli):
+        acc = [s % m for s in map(sum, zip(*[iter(gather(acc))] * len(powers)))]
+        acc[0] = (acc[0] + c) % m
+        consts.append(acc[0])
+    return consts, len(set(acc)) == 1
 
 
 def _check_period_root(r: int, q: int, n: int, coeffs: Sequence[int]) -> None:
@@ -354,9 +356,9 @@ def _check_period_root(r: int, q: int, n: int, coeffs: Sequence[int]) -> None:
     _eta_horner evaluates f at eta modulo x^r - 1, to a(x) of degree < r.
     Phi_r = 1 + x + ... + x^(r-1) is monic of degree r - 1, so a mod Phi_r
     is a - a_{r-1} Phi_r, whose coefficients are a_i - a_{r-1}: a is 0 in
-    (Z/nZ)[x]/(Phi_r) exactly when all r slots are equal.
+    (Z/nZ)[x]/(Phi_r) exactly when all r coefficients are equal.
     """
-    if not _eta_horner(r, q, n, reversed(coeffs))[1]:
+    if not _eta_horner(r, q, coeffs[::-1], [n] * len(coeffs))[1]:
         raise RuntimeError(
             f"period polynomial does not vanish at eta for (r={r}, q={q}, N={n})")
 
@@ -374,17 +376,22 @@ def _power_sums(f: ModPoly, count: int) -> list[int]:
     return p
 
 
-def _newton(sums: Sequence[int], m: int, smooth: Sequence[int] = ()) -> list[int]:
+def _newton(sums: Sequence[int], mods: Sequence[int]) -> list[int]:
     """b[k], the coefficient of x^(d-k), of the monic degree-d polynomial
-    whose power sums are sums[1..d] mod m, by Newton's identities
-    k b[k] = -sum(b[k-i] p_i, i = 1..k).  Step k divides by smooth[k] (1
-    without smooth) exactly, and by the rest of k through _invert_or_hit,
-    which raises _FactorHit on a k sharing a factor with m."""
-    b = [1]
-    for k in range(1, len(sums)):
-        s = smooth[k] if smooth else 1
-        t = -sum(map(mul, b, reversed(sums[1:k + 1]))) % m
-        b.append(t // s * _invert_or_hit(k // s % m, m) % m)
+    whose power sums are sums[1..d], by Newton's identities
+    k b[k] = -sum(b[k-i] p_i, i = 1..k).  Step k works mod mods[k] (p_k
+    must be right modulo it; the operands are reduced when it drops) and
+    divides by s = mods[k] / mods[k+1] exactly, leaving b[k] right mod
+    mods[k+1], and by k / s through _invert_or_hit, which raises _FactorHit
+    when that shares a factor with mods[k]."""
+    b, p = [1], list(sums)
+    for k in range(1, len(p)):
+        m = mods[k]
+        if m != mods[k - 1]:
+            b, p = [x % m for x in b], [x % m for x in p]
+        s = m // mods[k + 1]
+        t = -sum(map(mul, b, reversed(p[1:k + 1]))) % m
+        b.append(t // s * _invert_or_hit(k // s % m, m) % mods[k + 1])
     return b
 
 
@@ -402,7 +409,7 @@ def _composed_product(fs: Sequence[ModPoly]) -> ModPoly:
     n = fs[0].modulus
     d = math.prod(f.degree for f in fs)
     sums = [math.prod(col) % n for col in zip(*(_power_sums(f, d) for f in fs))]
-    f = ModPoly(n, _newton(sums, n)[::-1])
+    f = ModPoly(n, _newton(sums, [n] * (d + 2))[::-1])
     if _power_sums(f, d) != sums:
         raise RuntimeError(f"the composed product mod {n} lost its power sums")
     return f
@@ -810,15 +817,16 @@ def construct_poly_pipeline(
     """Find a period system for n and build its defining polynomial.
 
     f is the composed product of the pairs' period polynomials, built mod n
-    from power sums; a k <= deg f sharing a factor with n is returned as
-    FactorFound(gcd(k, n)).  For a system of several pairs, one Euclid
-    decides whether f' is a unit mod f, i.e. whether f is squarefree modulo
-    every p | n.  It is polyring's packed gcd-only Euclid, whose remainders
-    are unit multiples of the monic ones, so it meets the same non-unit
-    leading coefficient first.  A divisor of n met there is returned as
-    FactorFound(d), and a nonconstant gcd raises TensorDependency, a
-    distinct failure that neither certifies compositeness nor produces a
-    polynomial.  Returns
+    from power sums.  For a system of several pairs, Newton's identities
+    for that product divide by every k <= deg f, so the least prime p <=
+    deg f dividing n is returned as FactorFound(p) before the period
+    polynomials are built.  Then one Euclid decides whether f' is a unit
+    mod f, i.e. whether f is squarefree modulo every p | n.  It is
+    polyring's packed gcd-only Euclid, whose remainders are unit multiples
+    of the monic ones, so it meets the same non-unit leading coefficient
+    first.  A divisor of n met there is returned as FactorFound(d), and a
+    nonconstant gcd raises TensorDependency, a distinct failure that
+    neither certifies compositeness nor produces a polynomial.  Returns
     Constructed(f, ...) with deg f in [D, 2D) on success, and None when no
     period system of the target degree exists within the search caps of
     find_period_system.
@@ -830,11 +838,11 @@ def construct_poly_pipeline(
     system = find_period_system(n, degree_target)
     if system is None:
         return None
-    try:
-        f = _composed_product(
-            [period_polynomial(pair.r, pair.q, n) for pair in system.pairs])
-    except _FactorHit as hit:
-        return FactorFound(hit.divisor)
+    divisors = (k for k in range(2, system.degree + 1) if n % k == 0)
+    if len(system.pairs) > 1 and (p := next(divisors, 0)):
+        return FactorFound(p)
+    f = _composed_product(
+        [period_polynomial(pair.r, pair.q, n) for pair in system.pairs])
     if len(system.pairs) > 1:
         derivative = ModPoly(n, [k * c for k, c in enumerate(f.coeffs)][1:])
         out = _euclid(derivative, f, bezout=False)

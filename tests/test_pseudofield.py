@@ -705,12 +705,29 @@ def test_construct_pipeline_matches_tensor_fold():
 
 def test_construct_pipeline_newton_divisor():
     # 20255 = 5 * 4051 with the system (3, 2), (7, 3): going back from the
-    # power sums divides by k = 5, which exposes the divisor 5
+    # power sums would divide by k = 5, so the divisor 5 is returned
     assert find_period_system(20255, 6) == PeriodSystem(
         (PeriodPair(3, 2), PeriodPair(7, 3)), 6)
     assert construct_poly_pipeline(20255, 6) == FactorFound(5)
     v = full_pipeline(20255, PipelineConfig(degree_override=6), 0)
     assert v.outcome is Outcome.COMPOSITE and v.evidence == Divisor(5)
+
+
+def test_construct_pipeline_divisor_before_period_polynomials(monkeypatch):
+    # with several pairs, the least prime <= deg f dividing N is returned
+    # before any period polynomial is built; 3 * 2521951004103829 gets
+    # (11, 5), (9739, 541), whose q = 541 would cost 3^268 of precision
+    import abprime.pseudofield as pf
+
+    def unbuilt(r, q, n):
+        raise AssertionError(f"built the period polynomial ({r}, {q}) for {n}")
+
+    monkeypatch.setattr(pf, "period_polynomial", unbuilt)
+    assert construct_poly_pipeline(20255, 6) == FactorFound(5)
+    n = 3 * 2521951004103829
+    assert find_period_system(n, 2704) == PeriodSystem(
+        (PeriodPair(11, 5), PeriodPair(9739, 541)), 2705)
+    assert construct_poly_pipeline(n, 2704) == FactorFound(3)
 
 
 def test_verify_structural_degree_not_below_modulus():
