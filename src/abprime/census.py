@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .instrument import active_counter, binary_method_mults, binary_power
-from .intarith import decompose_two_power, factorize
+from .intarith import decompose_two_power, factorize, strip_power
 from .periodsys import is_small_prime
 from .polyring import ModPoly, _euclid, poly_pow_mod
 from .pseudofield import is_irreducible_mod_p
@@ -183,8 +183,7 @@ def root_count_in_extension(n: int, p: int, f: ModPoly) -> int:
     """
     _, d = _check_extension_args(n, p, f)
     q = p**d
-    while n % p == 0:
-        n //= p
+    _, n = strip_power(n, p)
     m = (n - 1) % (q - 1) + 1
     x = ModPoly.x(p)
     # (x+1)^m in full, as nothing of degree <= m is reduced mod x^(m+1)
@@ -277,11 +276,7 @@ def _deg_g_mod_p(n: int, p: int) -> int:
     corresponding digit of n, so the top surviving term is k = n - p^v with
     v the p-adic valuation of n.
     """
-    v = 0
-    m = n
-    while m % p == 0:
-        m //= p
-        v += 1
+    v, m = strip_power(n, p)
     if m == 1:
         raise ValueError(f"(x+1)^n - x^n - 1 vanishes mod {p} for n = {n}")
     return n - p**v

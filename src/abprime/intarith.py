@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from .instrument import active_counter, binary_method_mults
 
@@ -24,6 +24,8 @@ __all__ = [
     "decompose_two_power",
     "strong_probable_prime",
     "floor_log2",
+    "least_divisor",
+    "strip_power",
     "factorize",
 ]
 
@@ -121,6 +123,23 @@ def floor_log2(n: int) -> int:
     return n.bit_length() - 1
 
 
+def least_divisor(n: int, limit: int) -> Optional[int]:
+    """Least divisor of n in [2, limit], or None; when found it is prime."""
+    return next((d for d in range(2, limit + 1) if n % d == 0), None)
+
+
+def strip_power(n: int, p: int) -> tuple[int, int]:
+    """Write n = p**v * m with p not dividing m, for n >= 1 and p >= 2;
+    returns (v, m)."""
+    if n < 1 or p < 2:
+        raise ValueError(f"need n >= 1 and p >= 2, got n={n}, p={p}")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 by 6k+-1 trial division, as (p, e)
     pairs with p ascending; factorize(1) is empty."""
@@ -129,19 +148,13 @@ def factorize(n: int) -> list[tuple[int, int]]:
     out = []
     for d in (2, 3):
         if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
+            e, n = strip_power(n, d)
             out.append((d, e))
     d = 5
     while d * d <= n:
         for cand in (d, d + 2):
             if n % cand == 0:
-                e = 0
-                while n % cand == 0:
-                    n //= cand
-                    e += 1
+                e, n = strip_power(n, cand)
                 out.append((cand, e))
         d += 6
     if n > 1:

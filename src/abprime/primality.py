@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .intarith import floor_log2, strong_probable_prime
+from .intarith import floor_log2, least_divisor, strong_probable_prime
 from .polyring import ModPoly, poly_pow_mod, random_poly
 
 __all__ = [
@@ -110,10 +110,7 @@ def trial_division_stage(n: int) -> Optional[int]:
     """
     if n <= 1:
         raise ValueError(f"need n > 1, got {n}")
-    for a in range(2, floor_log2(n) + 1):
-        if n % a == 0:
-            return a
-    return None
+    return least_divisor(n, floor_log2(n))
 
 
 def miller_rabin_round(n: int, a: int) -> bool:

@@ -14,9 +14,11 @@ eta's powers give exactly.  Those powers, and the check f(eta) = 0 in
 q + 1 coset values of a polynomial in eta, one gather-and-sum of O(r)
 terms per step.  A period system's defining polynomial, the composed
 product of (x - alpha_i beta_j ...) over the roots of its period
-polynomials, is built mod N from power sums too: p_k of the product is the product of the factors' p_k, and its
-recomputed power sums are asserted.  One loop of Newton's identities turns
-power sums into coefficients for both.
+polynomials, is built mod N from power sums too: p_k of the product is the
+product of the factors' p_k, and its recomputed power sums are asserted.
+One loop of Newton's identities turns power sums into coefficients for
+both.  One Euclid then checks the composed product squarefree; the tensor
+product of two pseudofields is built the same way.
 
 A Pseudofield packages (N, f, deg f) for a monic f; its generator alpha is
 the residue of x and its distinguished endomorphism sigma is determined by
@@ -41,7 +43,7 @@ from operator import itemgetter, mul
 from typing import Optional, Sequence, Union
 
 from .instrument import active_counter
-from .intarith import FactorFound, factorize, try_invert
+from .intarith import FactorFound, factorize, least_divisor, try_invert
 from .periodsys import (
     PeriodPair,
     PeriodSystem,
@@ -83,8 +85,8 @@ __all__ = [
 
 
 class TensorDependency(Exception):
-    """Tensor powers became linearly dependent early without exposing a factor
-    (in construction: the composed product is not squarefree mod N).
+    """The composed product of a tensor product or a construction is not
+    squarefree mod N, and the Euclid that found it exposed no factor.
 
     This means the input rings were not genuine coprime-degree pseudofields;
     it is reported distinctly because no divisor of N is learned from it.
@@ -415,6 +417,34 @@ def _composed_product(fs: Sequence[ModPoly]) -> ModPoly:
     return f
 
 
+def _squarefree_composed_product(fs: Sequence[ModPoly]) -> Union[ModPoly, FactorFound]:
+    """The composed product of fs, and for several factors one Euclid that
+    decides whether f' is a unit mod f, i.e. whether f is squarefree modulo
+    every p | N.
+
+    It is polyring's packed gcd-only Euclid, whose remainders are unit
+    multiples of the monic ones, so it meets the same non-unit leading
+    coefficient first.  A divisor of N met in Newton's identities or in the
+    Euclid is returned as FactorFound, and a nonconstant gcd raises
+    TensorDependency, a distinct failure that neither certifies
+    compositeness nor produces a polynomial.
+    """
+    try:
+        f = _composed_product(fs)
+    except _FactorHit as hit:
+        return FactorFound(hit.divisor)
+    if len(fs) > 1:
+        n = f.modulus
+        derivative = ModPoly(n, [k * c for k, c in enumerate(f.coeffs)][1:])
+        out = _euclid(derivative, f, bezout=False)
+        if isinstance(out, FactorFound):
+            return out
+        if len(out[0]) > 1:
+            raise TensorDependency(
+                f"the composed product of degree {f.degree} is not squarefree mod {n}")
+    return f
+
+
 # ---------------------------------------------------------------------------
 # linear solving over Z/NZ
 # ---------------------------------------------------------------------------
@@ -548,51 +578,14 @@ def _kron(u: Sequence[int], v: Sequence[int], m: int) -> list[int]:
     return out
 
 
-def _fold(
-    fs: Sequence[ModPoly],
-    exprs: Sequence[Sequence[Sequence[int]]] = (),
-) -> tuple[ModPoly, list[list[int]]]:
-    """Tensor the rings (Z/NZ[x])/(f_j) left to right into the ring of
-    alpha = alpha_0 (x) alpha_1 (x) ...; returns its monic minimal polynomial.
-
-    Each pairwise step writes the powers of the new generator on the product
-    basis and makes one _solve_columns call; a non-invertible pivot raises
-    _FactorHit, dependent powers raise TensorDependency.  exprs[j] holds
-    coordinate vectors on f_j's power basis; their factor-by-factor tensor
-    products ride in each step's call as extra targets and come back as
-    coordinates on alpha's power basis (empty without exprs).  Pivots depend
-    on the columns only, so exprs cannot make a successful fold fail.  The
-    steps stay pairwise: one elimination over all factors meets other pivots
-    and, on composite N, surfaces other divisors.
-    """
-    m = fs[0].modulus
-    f = fs[0]
-    vecs = list(exprs[0]) if exprs else []
-    for j in range(1, len(fs)):
-        d = f.degree * fs[j].degree
-        p1 = _power_columns(f, d + 1)
-        p2 = _power_columns(fs[j], d + 1)
-        cols = [_kron(p1[k], p2[k], m) for k in range(d)]
-        targets = [_kron(p1[d], p2[d], m)]
-        if exprs:
-            targets += [_kron(v, e, m) for v, e in zip(vecs, exprs[j])]
-        sol = _solve_columns(cols, targets, m)
-        if sol is None:
-            raise TensorDependency(
-                f"powers of the tensor generator are dependent before degree {d}")
-        f = ModPoly(m, [(-c) % m for c in sol[0]] + [1])
-        vecs = sol[1:]
-    return f, vecs
-
-
 def tensor_product(a1: Pseudofield, a2: Pseudofield) -> Union[Pseudofield, FactorFound]:
     """Pseudofield generated by alpha1 (x) alpha2, of degree d1*d2.
 
-    Computes the coordinates of the powers (alpha1 (x) alpha2)^k on the
-    d1*d2-dimensional product basis and solves for the monic minimal
-    polynomial by elimination over Z/NZ; a non-invertible pivot returns the
-    divisor it exposes as FactorFound.  Raises TensorDependency when the
-    powers degenerate without exposing a factor.
+    Its defining polynomial is the composed product of a1.f and a2.f,
+    checked squarefree, as construct_poly_pipeline builds it
+    (_squarefree_composed_product): a divisor of N met on the way is
+    returned as FactorFound, and a nonconstant gcd of f and f' raises
+    TensorDependency.
     """
     if a1.modulus != a2.modulus:
         raise ValueError("pseudofields over different moduli")
@@ -603,10 +596,9 @@ def tensor_product(a1: Pseudofield, a2: Pseudofield) -> Union[Pseudofield, Facto
     n = a1.modulus
     if n <= a1.degree * a2.degree:
         raise ValueError("need N > d1*d2")
-    try:
-        f, _ = _fold([a1.f, a2.f])
-    except _FactorHit as hit:
-        return FactorFound(hit.divisor)
+    f = _squarefree_composed_product([a1.f, a2.f])
+    if isinstance(f, FactorFound):
+        return f
     system = None
     if (a1.system is not None and a2.system is not None
             and system_degree(a1.system) == a1.degree
@@ -661,10 +653,11 @@ def verify_axioms(a: Pseudofield) -> AxiomReport:
 
     With period-system provenance, sigma-powers are realized through the
     cyclotomic action (sigma shifts each factor's period conjugates by the
-    class of N), refolded through the tensor construction.  Without
-    provenance they are realized as the iterated power chain
-    beta_{i+1} = beta_i^N mod f, which agrees for prime N.  Any divisor of
-    N exposed along the way yields the composite_found verdict.
+    class of N), carried to the power basis of alpha by one elimination.
+    Without provenance, or when the provenance does not define a.f, they
+    are realized as the iterated power chain beta_{i+1} = beta_i^N mod f,
+    which agrees for prime N.  Any divisor of N exposed along the way
+    yields the composite_found verdict.
     """
     n, f, d = a.modulus, a.f, a.degree
     try:
@@ -681,34 +674,36 @@ def _verify_structural(a: Pseudofield) -> Optional[AxiomReport]:
     """sigma-powers of alpha through the period system, or None when the
     system cannot realize sigma on a.f.
 
-    sigma^i shifts each pair's periods by tau^(i * class of N); those
-    shifts are tensored through the fold of the pairs' period polynomials.
-    The composed product of those polynomials mod N is first compared with
-    a.f, and only then is sigma expressed pair by pair: expressing sigma
-    inverts pivots of its own, and on an f the pairs do not define, a
-    divisor or a dependency met there would replace the power chain's
-    verdict on the ring actually given.  With d >= N some k <= d is 0 mod N,
-    so the composed product cannot be formed and the power chain decides.
+    sigma^i shifts each pair's periods by tau^(i * class of N).  On the
+    product of the pairs' power bases, alpha^k is the Kronecker product of
+    the pairs' x^k mod f_j and sigma^i(alpha) that of the shifted periods,
+    so one _solve_columns call over alpha's d powers writes every
+    sigma^i(alpha) on alpha's power basis.  Before sigma is expressed, the
+    pairs must be period pairs for N and their composed product must be
+    a.f: expressing sigma inverts pivots of its own, and on a ring the
+    pairs do not define, a divisor or a dependency met there would replace
+    the power chain's verdict.  With d >= N some k <= d is 0 mod N, so the
+    composed product cannot be formed and the power chain decides.
     """
     n, d = a.modulus, a.degree
-    if d >= n:
-        return None
     pairs = sorted(a.system.pairs, key=lambda p: p.q)
+    if d >= n or not all(is_period_pair(n, p.r, p.q) for p in pairs):
+        return None
     polys = [period_polynomial(pair.r, pair.q, n) for pair in pairs]
     if _composed_product(polys) != a.f:
         return None  # provenance does not match f; use the power chain
     primes = sorted({pair.q for pair in pairs})
     exponents = [d] + [d // l for l in primes]
-    exprs = []
-    for pair in pairs:
+    cols, targets = [[1]] * d, [[1]] * len(exponents)
+    for pair, g in zip(pairs, polys):
         c = _coset_class(n, pair)
         shifted = _shifted_periods(n, pair, [i * c for i in exponents])
         if shifted is None:
             return None
-        exprs.append(shifted)
-    try:
-        _, vecs = _fold(polys, exprs)
-    except TensorDependency:
+        cols = [_kron(u, v, n) for u, v in zip(cols, _power_columns(g, d))]
+        targets = [_kron(u, v, n) for u, v in zip(targets, shifted)]
+    vecs = _solve_columns(cols, targets, n)
+    if vecs is None:
         return None
     x = _x_residue(a.f)
     identity = ModPoly(n, vecs[0]) == x
@@ -820,13 +815,10 @@ def construct_poly_pipeline(
     from power sums.  For a system of several pairs, Newton's identities
     for that product divide by every k <= deg f, so the least prime p <=
     deg f dividing n is returned as FactorFound(p) before the period
-    polynomials are built.  Then one Euclid decides whether f' is a unit
-    mod f, i.e. whether f is squarefree modulo every p | n.  It is
-    polyring's packed gcd-only Euclid, whose remainders are unit multiples
-    of the monic ones, so it meets the same non-unit leading coefficient
-    first.  A divisor of n met there is returned as FactorFound(d), and a
-    nonconstant gcd raises TensorDependency, a distinct failure that
-    neither certifies compositeness nor produces a polynomial.  Returns
+    polynomials are built.  Then one Euclid checks that f is squarefree
+    modulo every p | n (_squarefree_composed_product, which tensor_product
+    runs too): a divisor of n met there is returned as FactorFound(d), and
+    a nonconstant gcd raises TensorDependency.  Returns
     Constructed(f, ...) with deg f in [D, 2D) on success, and None when no
     period system of the target degree exists within the search caps of
     find_period_system.
@@ -838,19 +830,12 @@ def construct_poly_pipeline(
     system = find_period_system(n, degree_target)
     if system is None:
         return None
-    divisors = (k for k in range(2, system.degree + 1) if n % k == 0)
-    if len(system.pairs) > 1 and (p := next(divisors, 0)):
+    if len(system.pairs) > 1 and (p := least_divisor(n, system.degree)):
         return FactorFound(p)
-    f = _composed_product(
+    f = _squarefree_composed_product(
         [period_polynomial(pair.r, pair.q, n) for pair in system.pairs])
-    if len(system.pairs) > 1:
-        derivative = ModPoly(n, [k * c for k, c in enumerate(f.coeffs)][1:])
-        out = _euclid(derivative, f, bezout=False)
-        if isinstance(out, FactorFound):
-            return out
-        if len(out[0]) > 1:
-            raise TensorDependency(
-                f"the composed product of degree {f.degree} is not squarefree mod {n}")
+    if isinstance(f, FactorFound):
+        return f
     if not degree_target <= f.degree < 2 * degree_target:
         raise RuntimeError(
             f"constructed degree {f.degree} escaped [{degree_target}, "

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from abprime import (
     mod_pow,
     try_invert,
 )
+from abprime.intarith import factorize, least_divisor, strip_power
 
 
 def naive_pow(a, e, m):
@@ -182,3 +184,35 @@ def test_floor_log2():
         n = rng.randint(1, 10**15)
         k = floor_log2(n)
         assert 2**k <= n < 2 ** (k + 1)
+
+
+def test_least_divisor():
+    assert least_divisor(15, 4) == 3
+    assert least_divisor(25, 4) is None
+    assert least_divisor(1001, 30) == 7
+    assert least_divisor(97, 96) is None
+    assert least_divisor(2, 1) is None
+    rng = random.Random(8)
+    for _ in range(300):
+        n = rng.randint(2, 10**6)
+        limit = rng.randint(1, 200)
+        # oracle: the least prime of n's factorization, kept when <= limit
+        p = factorize(n)[0][0]
+        assert least_divisor(n, limit) == (p if p <= limit else None), (n, limit)
+
+
+def test_strip_power():
+    assert strip_power(250, 5) == (3, 2)
+    assert strip_power(7, 5) == (0, 7)
+    assert strip_power(1, 3) == (0, 1)
+    assert strip_power(3**40, 3) == (40, 1)
+    rng = random.Random(9)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7, 11, 97])
+        v, m = rng.randint(0, 12), rng.randint(1, 10**6)
+        m //= math.gcd(m, p**20)
+        assert strip_power(p**v * m, p) == (v, m), (p, v, m)
+    with pytest.raises(ValueError):
+        strip_power(0, 3)
+    with pytest.raises(ValueError):
+        strip_power(12, 1)

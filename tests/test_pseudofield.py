@@ -37,7 +37,9 @@ from abprime.pseudofield import (
     _FactorHit,
     _check_period_root,
     _composed_product,
-    _fold,
+    _kron,
+    _power_columns,
+    _solve_columns,
     _verify_power_chain,
     _verify_structural,
     _qth_powers,
@@ -325,6 +327,24 @@ def integer_composed_product(polys):
     return b[::-1]
 
 
+def _fold(fs):
+    """Oracle: the elimination route to the composed product mod N.  Tensor
+    the rings (Z/NZ[x])/(f_j) left to right: each step writes the powers of
+    alpha (x) x_j on the product basis and solves for alpha's next minimal
+    polynomial over Z/NZ.  A non-invertible pivot raises _FactorHit and
+    dependent powers raise TensorDependency."""
+    m, f = fs[0].modulus, fs[0]
+    for g in fs[1:]:
+        d = f.degree * g.degree
+        p1, p2 = _power_columns(f, d + 1), _power_columns(g, d + 1)
+        cols = [_kron(p1[k], p2[k], m) for k in range(d)]
+        sol = _solve_columns(cols, [_kron(p1[d], p2[d], m)], m)
+        if sol is None:
+            raise TensorDependency(f"dependent powers before degree {d}")
+        f = ModPoly(m, [(-c) % m for c in sol[0]] + [1])
+    return f
+
+
 @functools.lru_cache(maxsize=None)
 def integer_period_polynomial(r, q):
     """Oracle: f_{r,q} over Z, constant term first, by CRT over primes,
@@ -475,7 +495,7 @@ def test_tensor_product_validation():
 
 
 def test_tensor_product_factor_extraction():
-    # over N = 15 the elimination pivots expose a factor
+    # over N = 15 the composed product's Newton identities divide by k = 3
     a1 = pseudofield_from_period_pair(15, PeriodPair(13, 2))
     a2 = pseudofield_from_period_pair(15, PeriodPair(19, 3))
     out = tensor_product(a1, a2)
@@ -537,6 +557,12 @@ def test_verify_axioms_mismatched_provenance_falls_back():
     report = verify_axioms(a)
     assert report.verdict == "refuted"
     assert report == _verify_power_chain(55, f, 5)
+    # (5, 2) is no period pair for 35 (5 | 35): the period polynomial cannot
+    # be built, so the power chain decides, and it meets the divisor 5
+    f = ModPoly(35, [3, 1, 1])
+    report = verify_axioms(Pseudofield(35, f, 2, PeriodSystem((PeriodPair(5, 2),), 2)))
+    assert report == _verify_power_chain(35, f, 2)
+    assert report.verdict == "composite_found" and report.divisor == 5
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +674,7 @@ def test_construct_pipeline_prime_degree15():
 
 
 def test_construct_pipeline_three_pairs():
-    # sigma is carried through two fold steps only with three pairs
+    # a three-pair system: sigma is tensored over three factors
     result = construct_poly_pipeline(101, 30)
     assert isinstance(result, Constructed)
     pairs = [PeriodPair(3, 2), PeriodPair(7, 3), PeriodPair(11, 5)]
@@ -660,6 +686,30 @@ def test_construct_pipeline_three_pairs():
     structural = _verify_structural(result.pseudofield)
     assert structural is not None and structural.verdict == "verified"
     assert structural == verify_axioms(Pseudofield(101, result.f, 30))
+
+
+def test_structural_sigma_matches_power_chain_on_primes():
+    # for prime N sigma is x -> x^N: the one-elimination structural sigma
+    # gives the power chain's report, inverses included, on systems of two
+    # and three pairs; the pairwise tensor_product chain builds the same f
+    rng = random.Random(19)
+    seen = {6: 0, 15: 0, 30: 0}
+    while min(seen.values()) < 3:
+        n = rng.randint(10**3, 10**6)
+        d = rng.choice(sorted(seen))
+        if seen[d] >= 3 or not is_small_prime(n):
+            continue
+        result = construct_poly_pipeline(n, d)
+        if result is None or len(result.system.pairs) < 2:
+            continue
+        seen[d] += 1
+        a, f = result.pseudofield, result.f
+        structural = _verify_structural(a)
+        assert structural is not None and structural.verdict == "verified", (n, d)
+        assert structural == _verify_power_chain(n, f, f.degree), (n, d)
+        fields = [pseudofield_from_period_pair(n, p) for p in result.system.pairs]
+        chained = functools.reduce(tensor_product, fields)
+        assert chained.f == f and chained.system == result.system, (n, d)
 
 
 def test_construct_pipeline_341():
@@ -693,7 +743,7 @@ def test_construct_pipeline_matches_tensor_fold():
                 [integer_period_polynomial(p.r, p.q) for p in system.pairs])
             assert result.f == ModPoly(n, oracle), (n, d)
         try:
-            folded, _ = _fold([period_polynomial(p.r, p.q, n) for p in system.pairs])
+            folded = _fold([period_polynomial(p.r, p.q, n) for p in system.pairs])
         except (_FactorHit, TensorDependency):
             continue
         if isinstance(result, Constructed):
@@ -744,7 +794,8 @@ def test_verify_structural_degree_not_below_modulus():
 
 def test_construct_pipeline_not_squarefree(monkeypatch):
     # no input is known where f' and f share a monic factor mod N without
-    # exposing a divisor; the outcome is TensorDependency, as for the fold
+    # exposing a divisor; the outcome is TensorDependency, as for
+    # tensor_product
     import abprime.pseudofield as pf
     monkeypatch.setattr(pf, "_euclid", lambda u, f, bezout: (list(f.coeffs), None))
     with pytest.raises(TensorDependency, match="not squarefree"):
@@ -752,19 +803,27 @@ def test_construct_pipeline_not_squarefree(monkeypatch):
 
 
 def test_verify_structural_folds_once(monkeypatch):
-    # the provenance check compares the composed product with f; only the
-    # sigma fold eliminates
+    # sigma is written on alpha's power basis by one elimination over its
+    # d = 30 powers, after the per-pair shifts (q = 2, 3, 5 columns); the
+    # provenance check compares the composed product with f and eliminates
+    # nothing, so on a mismatched f no elimination runs
     import abprime.pseudofield as pf
     calls = []
+    real = pf._solve_columns
 
-    def counting_fold(fs, exprs=()):
-        calls.append(len(fs))
-        return _fold(fs, exprs)
+    def counting_solve(cols, targets, m):
+        calls.append(len(cols))
+        return real(cols, targets, m)
 
     a = construct_poly_pipeline(101, 30).pseudofield
-    monkeypatch.setattr(pf, "_fold", counting_fold)
+    monkeypatch.setattr(pf, "_solve_columns", counting_solve)
     assert verify_axioms(a).verdict == "verified"
-    assert calls == [3]
+    assert calls == [2, 3, 5, 30]
+    calls.clear()
+    f = ModPoly(101, [a.f.coeffs[0] + 1] + list(a.f.coeffs[1:]))
+    report = verify_axioms(Pseudofield(101, f, 30, a.system))
+    assert report == _verify_power_chain(101, f, 30)
+    assert calls == []
 
 
 def test_construct_pipeline_not_found():
