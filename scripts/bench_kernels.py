@@ -9,10 +9,11 @@ deg, it records:
 - mul_us: _mul_coeffs(a, b, m), the bare product;
 - mul_mod_us: poly_mul_mod(a, b, f), one ring multiplication;
 - square_mod_us: poly_mul_mod(a, a, f), one ring squaring;
-- pow_step_us: poly_pow_mod(a, m, f) over its binary_method_mults(m) ring
-  multiplications, the cost of one step of the ladder, whose elements
-  need not be packed and unpacked at each step as one poly_mul_mod's are;
-  only up to POW_MAX_DEG, as one call at 8192 x 256 takes minutes;
+- pow_step_us: poly_pow_mod(a, m, f) over the ring multiplications it
+  tallies under count_operations(), the cost of one step of the ladder,
+  whose elements need not be packed and unpacked at each step as one
+  poly_mul_mod's are; only up to POW_MAX_DEG, as one call at 8192 x 256
+  takes minutes;
 - euclid_ms: _euclid(f', f, bezout=False), the gcd-only Euclid of the
   squarefree check, with f taken mod the first prime above m, so that the
   Euclid runs to its end instead of stopping at a factor of m; only up to
@@ -34,6 +35,11 @@ the reference CPU speed of perfbench/calibrate.py measured around those
 runs, as perfbench scales its gated timings.  The rows are stored under
 NAME in the output file, next to the runs already recorded there under
 other names.
+
+Two runs, made one after the other, cannot resolve a difference under
+about 2x in one cell: the bare product mul_us, the same code in both
+trees, has read 0.52-1.85x and 0.66-1.73x between the two runs of a pair.  A kernel claim needs in-process
+alternation or scripts/bench_pairs.py.
 """
 from __future__ import annotations
 
@@ -93,9 +99,17 @@ def operand_bits(polyring, fn) -> int:
     return seen[0]
 
 
+def pow_steps(a, e: int, f) -> int:
+    """The ring multiplications poly_pow_mod(a, e, f) tallies."""
+    from abprime import count_operations, poly_pow_mod
+
+    with count_operations() as ops:
+        poly_pow_mod(a, e, f)
+    return ops.poly_mults
+
+
 def kernel_row(polyring, deg: int, bits: int) -> dict:
     from abprime import ModPoly, poly_mul_mod, poly_pow_mod
-    from abprime.instrument import binary_method_mults
 
     rng = random.Random(f"bench-kernels/{deg}/{bits}")
     m = rng.getrandbits(bits) | 1 << (bits - 1) | 1
@@ -103,7 +117,7 @@ def kernel_row(polyring, deg: int, bits: int) -> dict:
     f = ModPoly(m, [rng.randrange(m) for _ in range(deg)] + [1])
     pa, pb = ModPoly(m, a), ModPoly(m, b)
     poly_mul_mod(pa, pb, f)  # builds the reducer for f outside the timings
-    pow_step = (best_time(lambda: poly_pow_mod(pa, m, f)) / binary_method_mults(m)
+    pow_step = (best_time(lambda: poly_pow_mod(pa, m, f)) / pow_steps(pa, m, f)
                 if deg <= POW_MAX_DEG else None)
     euclid = None
     if deg <= EUCLID_MAX_DEG:
@@ -175,6 +189,8 @@ def main() -> int:
     }
     record["shapes"] = ("kernels: deg x modulus bits; schoolbook_over_kronecker: bits x longer length, "
                         f"keyed by shorter length; period_polynomial_ms: r,q at N = {PERIOD_PRIME}")
+    record["resolution"] = ("runs made one after the other resolve no cell difference under about 2x; "
+                            "compare kernels by in-process alternation or scripts/bench_pairs.py")
     record["times"] = ("microseconds (euclid_ms, period_polynomial_ms: milliseconds) at the reference speed "
                        f"of perfbench/calibrate.py (NOMINAL_S = {calibrate.NOMINAL_S} s), measured around each cell")
     record["environment"] = {

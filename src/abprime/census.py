@@ -103,7 +103,9 @@ def _count_nonwitnesses(factors: list[tuple[int, int]], s: int, t: int) -> int:
     mod n iff it is -1 mod every p^e.  These s + 1 events are disjoint, and
     no non-unit residue, 0 included, satisfies any of them, so the count is
     prod ones + sum over j < s of prod minus_j, each factor counted over all
-    of Z/p^eZ by one vectorized ladder.  The work is sum p^e, not n.
+    of Z/p^eZ by one vectorized ladder of width 1: a wider window would
+    hold each odd power as one more array of p^e residues, 8 MB at
+    p^e = 10^6.  The work is sum p^e, not n.
     p^e <= n <= MR_LIMIT, so every product of two residues, below
     (p^e)^2 < 2^40, fits in int64.
     """
@@ -114,7 +116,7 @@ def _count_nonwitnesses(factors: list[tuple[int, int]], s: int, t: int) -> int:
     for p, e in factors:
         q = p**e
         a = np.arange(q, dtype=np.int64)
-        x = binary_power(a, t, lambda y: y * y % q, lambda y: y * a % q)
+        x = binary_power(a, t, lambda y, z: y * z % q)
         ones *= int((x == 1).sum())
         for j in range(s):
             minus[j] *= int((x == q - 1).sum())
@@ -217,7 +219,8 @@ def _identity_count(n: int, f: ModPoly) -> int:
     h is numbered by its coefficients as base-m digits, the constant term
     lowest.  A block of consecutive numbers is held as an int64 array of
     shape (d, count), one row per coefficient, and T = h^n is computed for
-    the whole block by the binary_power ladder, tallied as
+    the whole block by the binary_power ladder at width 1, which holds no
+    table of odd powers the size of the block, tallied as
     binary_method_mults(n) ring multiplications per h.  h + 1 changes the
     constant digit only, mod m, so it stays in the block of h when a block
     is a whole number of runs of m numbers: max(1, 2^16 // m) runs.  The
@@ -258,7 +261,7 @@ def _identity_count(n: int, f: ModPoly) -> int:
         h = np.empty((d, len(index)), dtype=np.int64)
         for j in range(d):
             h[j] = index // m**j % m
-        t = binary_power(h, n, lambda y: mul(y, y), lambda y: mul(y, h))
+        t = binary_power(h, n, mul)
         # the position of h + 1 in the block: one on, or m - 1 back at a
         # constant digit of m - 1
         after = np.arange(1, len(index) + 1)

@@ -26,7 +26,10 @@ remainder is formed on the packs with a bias that keeps every slot
 nonnegative, and a slot-parallel Barrett reduction brings every slot back
 into [0, N) with a few big-integer operations.  poly_pow_mod mod an f of
 degree at least _KRONECKER_MIN packs its base once, keeps the ladder
-packed, short bases included, and unpacks the result once.  The paths
+packed, short bases included, and unpacks the result once.  Its ladder is
+instrument.binary_power: a sliding window of window_width(e) bits for a
+base of at least _KRONECKER_MIN coefficients, the binary method (width 1)
+for a shorter base, whose products are linear passes.  The paths
 agree coefficient for coefficient; the threshold is a tuning constant only.
 
 Euclid (poly_is_unit_mod, and the gcd-only _euclid) keeps each remainder
@@ -45,7 +48,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .instrument import active_counter, binary_method_mults, binary_power
+from .instrument import active_counter, binary_power, window_mults, window_width
 from .intarith import FactorFound, try_invert
 
 __all__ = [
@@ -406,16 +409,14 @@ class _Reducer:
         pa = self._packed(a)
         return self._unpacked(self._mul(pa, pa if a is b else self._packed(b)))
 
-    def power(self, a: Sequence[int], e: int) -> list[int]:
-        """a^e mod f for e >= 1 and a list a as for mul, by binary_power."""
+    def power(self, a: Sequence[int], e: int, w: int) -> list[int]:
+        """a^e mod f for e >= 1 and a list a as for mul, by binary_power
+        of width w."""
         if not a:
             return []
         if self.d < _KRONECKER_MIN:
-            return binary_power(a, e, lambda y: self.mul(y, y),
-                                lambda y: self.mul(y, a))
-        pa = self._packed(a)
-        return self._unpacked(binary_power(
-            pa, e, lambda y: self._mul(y, y), lambda y: self._mul(y, pa)))
+            return binary_power(a, e, self.mul, w)
+        return self._unpacked(binary_power(self._packed(a), e, self._mul, w))
 
     # -- packed elements: (even pack, odd pack, number of coefficients) -----
     def _packed(self, a: Sequence[int]) -> tuple[int, int, int]:
@@ -490,18 +491,23 @@ def poly_mul_mod(a: ModPoly, b: ModPoly, f: ModPoly) -> ModPoly:
 
 
 def poly_pow_mod(a: ModPoly, e: int, f: ModPoly) -> ModPoly:
-    """a**e mod f by the binary_power ladder, whose binary_method_mults(e)
-    ring multiplications are tallied on the active OpCounter.  From deg f
-    = _KRONECKER_MIN on, a is packed once and the result unpacked once."""
+    """a**e mod f by the binary_power ladder, whose window_mults(e, w) ring
+    multiplications are tallied on the active OpCounter.  The width w is
+    window_width(e) for a base of at least _KRONECKER_MIN coefficients,
+    and 1 for a shorter one: a multiply by a short base (x, x + 1, a
+    constant) is a linear pass, not a full product, and a window would
+    trade those for multiplies by its longer odd powers.  From deg f =
+    _KRONECKER_MIN on, a is packed once and the result unpacked once."""
     if e < 0:
         raise ValueError("negative exponent")
     _check_ring_args(a, a, f)
-    counter = active_counter()
-    if counter is not None:
-        counter.poly_mults += binary_method_mults(e)
     if e == 0:
         return ModPoly.one(f.modulus)
-    return ModPoly(f.modulus, _reducer_for(f).power(a.coeffs, e))
+    w = window_width(e) if len(a.coeffs) >= _KRONECKER_MIN else 1
+    counter = active_counter()
+    if counter is not None:
+        counter.poly_mults += window_mults(e, w)
+    return ModPoly(f.modulus, _reducer_for(f).power(a.coeffs, e, w))
 
 
 def random_poly(max_deg_exclusive: int, modulus: int, seed: int) -> ModPoly:

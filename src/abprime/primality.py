@@ -167,7 +167,9 @@ def ab_test(n: int, f: ModPoly, seed: int) -> Verdict:
 
     Runs the trial-division screen, then draws one uniformly random h of
     degree < deg f and compares both sides, each computed with a single
-    binary exponentiation (so at most 4*bitlen(n) ring multiplications).
+    sliding-window exponentiation, which spends no more ring
+    multiplications than the binary method (so at most 4*bitlen(n) in
+    all).
     The accuracy guarantee on composite n requires f to be irreducible
     modulo a prime factor of n; that is the caller's contract, nothing
     here can check it.

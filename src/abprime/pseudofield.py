@@ -312,31 +312,25 @@ def period_polynomial(r: int, q: int, n: int) -> ModPoly:
     # the n-smooth part of j, as no prime divides j bits(j) times
     smooth = [1] + [math.gcd(j, pow(n, j.bit_length(), j)) for j in range(1, q + 1)]
     mods = list(accumulate(reversed(smooth), mul, initial=n))[::-1]
-    consts, _ = _eta_horner(r, q, [1] + [0] * q, [k * m for m in mods[:-1]])
+    classes = _eta_classes(r, q)
+    consts, _ = _eta_horner(classes, [1] + [0] * q, [k * m for m in mods[:-1]])
     sums = [(r * s - pow(k, j, k * m)) % (k * m) // k
             for j, (s, m) in enumerate(zip(consts, mods))]
     coeffs = [c % n for c in reversed(_newton(sums, mods))]
-    _check_period_root(r, q, n, coeffs)
+    _check_period_root(r, q, n, coeffs, classes)
     return ModPoly(n, coeffs)
 
 
-def _eta_horner(
-    r: int, q: int, addends: Sequence[int], moduli: Sequence[int]
-) -> tuple[list[int], bool]:
-    """Horner's rule acc <- eta acc + c in (Z/mZ)[x]/(x^r - 1), from acc = 0,
-    for c, m in zip(addends, moduli), each m a multiple of the next: the
-    constant term of acc after every step, and whether all r coefficients
-    of the last acc are equal.
+def _eta_classes(r: int, q: int) -> tuple[itemgetter, int, int]:
+    """The class table of _eta_horner for (r, q): (gather, k, q + 1).
 
-    acc, a polynomial in eta, is fixed by x -> x^h for each of the
-    k = (r-1)/q q-th power residues h, so it is kept as its q + 1 values on
-    the classes {0} and s H, {0} first.  The coefficient of x^t in eta acc
-    sums acc's at x^(t-h) over h: read at one t per class, r + k - 1 values
-    gathered through one index table, so a step costs O(r) additions
-    whatever q is.
-    """
+    The k = (r-1)/q q-th power residues h form the subgroup H; the classes
+    are {0} and the q cosets s H, {0} first.  The coefficient of x^t in
+    eta acc sums acc's at x^(t-h) over h, so gather(acc), read at one t per
+    class, returns those k values for each class in turn, r + k - 1 in
+    all."""
     powers = _qth_powers(r, q)
-    label = [0] * r  # the index of s's class in acc
+    label = [0] * r  # the index of s's class
     reps = [0]
     for s in range(1, r):
         if not label[s]:
@@ -344,23 +338,42 @@ def _eta_horner(
                 label[s * h % r] = len(reps)
             reps.append(s)
     gather = itemgetter(*[label[(t - h) % r] for t in reps for h in powers])
-    acc, consts = [0] * len(reps), []
+    return gather, len(powers), len(reps)
+
+
+def _eta_horner(
+    classes: tuple[itemgetter, int, int], addends: Sequence[int], moduli: Sequence[int]
+) -> tuple[list[int], bool]:
+    """Horner's rule acc <- eta acc + c in (Z/mZ)[x]/(x^r - 1), from acc = 0,
+    for c, m in zip(addends, moduli), each m a multiple of the next: the
+    constant term of acc after every step, and whether all r coefficients
+    of the last acc are equal.
+
+    acc, a polynomial in eta, is fixed by x -> x^h for each h in H, so it
+    is kept as its q + 1 values on the classes of _eta_classes(r, q), which
+    period_polynomial builds once for both its Horners.  A step sums the
+    gathered values class by class: O(r) additions whatever q is.
+    """
+    gather, k, size = classes
+    acc, consts = [0] * size, []
     for c, m in zip(addends, moduli):
-        acc = [s % m for s in map(sum, zip(*[iter(gather(acc))] * len(powers)))]
+        acc = [s % m for s in map(sum, zip(*[iter(gather(acc))] * k))]
         acc[0] = (acc[0] + c) % m
         consts.append(acc[0])
     return consts, len(set(acc)) == 1
 
 
-def _check_period_root(r: int, q: int, n: int, coeffs: Sequence[int]) -> None:
+def _check_period_root(r: int, q: int, n: int, coeffs: Sequence[int],
+                       classes: tuple[itemgetter, int, int]) -> None:
     """Raise RuntimeError unless f(eta) = 0 in (Z/nZ)[zeta_r].
 
-    _eta_horner evaluates f at eta modulo x^r - 1, to a(x) of degree < r.
+    _eta_horner, on the classes = _eta_classes(r, q), evaluates f at eta
+    modulo x^r - 1, to a(x) of degree < r.
     Phi_r = 1 + x + ... + x^(r-1) is monic of degree r - 1, so a mod Phi_r
     is a - a_{r-1} Phi_r, whose coefficients are a_i - a_{r-1}: a is 0 in
     (Z/nZ)[x]/(Phi_r) exactly when all r coefficients are equal.
     """
-    if not _eta_horner(r, q, coeffs[::-1], [n] * len(coeffs))[1]:
+    if not _eta_horner(classes, coeffs[::-1], [n] * len(coeffs))[1]:
         raise RuntimeError(
             f"period polynomial does not vanish at eta for (r={r}, q={q}, N={n})")
 

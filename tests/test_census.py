@@ -76,7 +76,7 @@ def range_nonwitness_count(n):
 
     s, t = decompose_two_power(n - 1)
     a = np.arange(1, n, dtype=np.int64)
-    x = binary_power(a, t, lambda y: y * y % n, lambda y: y * a % n)
+    x = binary_power(a, t, lambda y, z: y * z % n)
     nonwit = x == 1
     for _ in range(s):
         nonwit |= x == n - 1

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -87,19 +88,63 @@ def test_binary_power_spends_its_count():
         x = rng.randrange(m)
         calls = [0, 0]
 
-        def square(y):
-            calls[0] += 1
-            return y * y % m
+        def mul(y, z):
+            # a square is mul(y, y), the same object twice
+            calls[y is not z] += 1
+            return y * z % m
 
-        def times_x(y):
-            calls[1] += 1
-            return y * x % m
-
-        assert binary_power(x, e, square, times_x) == pow(x, e, m), e
+        assert binary_power(x, e, mul) == pow(x, e, m), e
         assert calls == [e.bit_length() - 1, bin(e).count("1") - 1], e
         assert sum(calls) == binary_method_mults(e) == binary_method_count(e), e
     with pytest.raises(ValueError):
-        binary_power(2, 0, None, None)
+        binary_power(2, 0, None)
+
+
+def window_recount(e, w):
+    """Oracle: [squares, multiplies] of the sliding-window method of width
+    w on e >= 1, from a regex split of e's bits into the longest windows of
+    at most w bits that start and end in a 1 bit; x^2 is a square and the
+    rest of the table x^3, x^5, ..., x^(2^w - 1) multiplies."""
+    bits = bin(e)[2:]
+    windows = [mt.group() for mt in
+               re.finditer("1" if w == 1 else "1(?:[01]{0,%d}1)?" % (w - 2), bits)]
+    table = [1, 2 ** (w - 1) - 1] if w > 1 else [0, 0]
+    return [table[0] + len(bits) - len(windows[0]), table[1] + len(windows) - 1]
+
+
+def test_window_ladder_matches_pow_and_recount():
+    from abprime.instrument import binary_method_mults, binary_power, window_mults
+
+    rng = random.Random(19)
+    exponents = list(range(1, 300)) + [rng.randrange(1, 2**rng.randint(2, 200))
+                                       for _ in range(200)]
+    for e in exponents:
+        # beyond 2^64, no residue the ladder forms is a cached small int
+        m = rng.randrange(2**64, 2**128)
+        x = rng.randrange(2**64, m)
+        for w in range(1, 7):
+            calls = [0, 0]
+
+            def mul(y, z):
+                calls[y is not z] += 1
+                return y * z % m
+
+            assert binary_power(x, e, mul, w) == pow(x, e, m), (e, w)
+            assert calls == window_recount(e, w), (e, w)
+            assert sum(calls) == window_mults(e, w), (e, w)
+        assert window_mults(e, 1) == binary_method_mults(e), e
+
+
+def test_window_width_never_costs_more_than_binary():
+    from abprime.instrument import binary_method_mults, window_mults, window_width
+
+    rng = random.Random(20)
+    for e in list(range(2**13)) + [rng.randrange(2**200) for _ in range(200)]:
+        w = window_width(e)
+        counts = [window_mults(e, v) for v in range(1, 7)]
+        # the least count, and the smallest width that reaches it
+        assert counts[w - 1] == min(counts) and min(counts) not in counts[:w - 1], e
+        assert window_mults(e, w) <= binary_method_mults(e), e
 
 
 def test_mod_pow_additivity():

@@ -1,6 +1,7 @@
 import collections
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from abprime import (
     poly_pow_mod,
     random_poly,
 )
-from abprime.instrument import binary_method_mults
+from abprime.instrument import binary_method_mults, window_mults, window_width
 from abprime.polyring import (
     _KRONECKER_MIN,
     _Reducer,
@@ -310,7 +311,8 @@ def test_pow_and_mul_match_schoolbook_property(operands):
 def test_full_length_pow_takes_fused_pass(monkeypatch):
     # one kernel rule: at deg f = 20 >= _KRONECKER_MIN the ladder runs on
     # packed elements: the base is packed once, every ring multiplication
-    # is a packed product, and the result is unpacked once
+    # of the sliding-window ladder is a packed product, and the result is
+    # unpacked once
     rng = random.Random(18)
     m, d = 2**61 - 1, 20
     assert d >= _KRONECKER_MIN
@@ -324,8 +326,74 @@ def test_full_length_pow_takes_fused_pass(monkeypatch):
             return _orig(self, *args)
         monkeypatch.setattr(_Reducer, name, spy)
     got = poly_pow_mod(a, 1000, f)
-    assert calls == {"_packed": 1, "_unpacked": 1, "_mul": binary_method_mults(1000)}
+    assert calls == {"_packed": 1, "_unpacked": 1,
+                     "_mul": window_mults(1000, window_width(1000))}
     assert got == ModPoly(m, _reference_pow(list(a.coeffs), 1000, list(f.coeffs), m))
+
+
+def _counted_pow(a, e, f):
+    # poly_pow_mod's result, its poly_mults tally and its _Reducer._mul calls
+    calls = [0]
+    orig = _Reducer._mul
+
+    def spy(self, *args):
+        calls[0] += 1
+        return orig(self, *args)
+
+    with mock.patch.object(_Reducer, "_mul", spy), count_operations() as ops:
+        got = poly_pow_mod(a, e, f)
+    return got, ops.poly_mults, calls[0]
+
+
+# exponent bit lengths at which window_width picks the width often enough
+# for a short rejection draw
+_WIDTH_BITS = {1: (1, 12), 2: (4, 30), 3: (8, 100), 4: (40, 250), 5: (150, 700),
+               6: (500, 900)}
+
+
+@st.composite
+def _window_pow_operands(draw, w):
+    # deg f in 16..40, a base with all deg f coefficients, prime and
+    # composite moduli, and an exponent for which window_width picks w
+    rnd = random.Random(draw(st.integers(0, 2**64)))
+    m = rnd.choice([97, 2**61 - 1, 2**127 - 1, 341, 2**64 + 1, rnd.randrange(2, 2**200)])
+    d = rnd.randint(_KRONECKER_MIN, 40)
+    f = _stress_vector(rnd, m, d) + [1]
+    a = _stress_vector(rnd, m, d - 1) + [rnd.randrange(1, m)]
+    lo, hi = _WIDTH_BITS[w]
+    while True:
+        bits = rnd.randint(lo, hi)
+        e = rnd.getrandbits(bits) | 1 << (bits - 1)
+        if window_width(e) == w:
+            return m, a, f, e
+
+
+@pytest.mark.parametrize("w", range(1, 7))
+def test_window_pow_matches_reference_and_tally_property(w):
+    # the ladder of every width gives the reference power, and each ring
+    # multiplication it tallies is one packed product
+    @settings(derandomize=True, deadline=None, max_examples=4)
+    @given(_window_pow_operands(w))
+    def check(operands):
+        m, a, f, e = operands
+        got, tally, calls = _counted_pow(ModPoly(m, a), e, ModPoly(m, f))
+        assert got == ModPoly(m, _reference_pow(a, e, f, m))
+        assert tally == calls == window_mults(e, w)
+
+    check()
+
+
+def test_short_base_pow_keeps_binary_method():
+    # x, x + 1 and a constant take the width-1 ladder, whose products with
+    # the base are linear passes, whatever width a full base would take
+    rng = random.Random(21)
+    m, d = 2**127 - 1, 24
+    f = ModPoly(m, [rng.randrange(m) for _ in range(d)] + [1])
+    for e in [3, 1000, 2**80 + 12345, rng.getrandbits(300)]:
+        for a in ([0, 1], [1, 1], [rng.randrange(2, m)]):
+            got, tally, calls = _counted_pow(ModPoly(m, a), e, f)
+            assert got == ModPoly(m, _reference_pow(a, e, list(f.coeffs), m)), (e, a)
+            assert tally == calls == binary_method_mults(e), (e, a)
 
 
 def _packs(values, width):

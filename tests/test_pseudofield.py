@@ -37,6 +37,7 @@ from abprime.pseudofield import (
     _FactorHit,
     _check_period_root,
     _composed_product,
+    _eta_classes,
     _kron,
     _power_columns,
     _solve_columns,
@@ -225,10 +226,10 @@ def test_period_polynomial_corrupted_coefficient_is_caught(monkeypatch, j):
     import abprime.pseudofield as pf
     real = pf._check_period_root
 
-    def corrupted(r, q, n, coeffs):
+    def corrupted(r, q, n, coeffs, classes):
         coeffs = list(coeffs)
         coeffs[min(j, len(coeffs) - 2)] += 1
-        real(r, q, n, coeffs)
+        real(r, q, n, coeffs, classes)
 
     monkeypatch.setattr(pf, "_check_period_root", corrupted)
     for r, q, n in [(7, 3, 341), (7, 3, 97), (367, 61, 2111), (367, 61, 1000001)]:
@@ -294,7 +295,7 @@ def test_period_root_check_matches_list_horner_property(inputs):
     if p < n:
         inputs.append(([c + (n // p) * (i == j) for i, c in enumerate(f)], None))
     for coeffs, want in inputs:
-        got = _raises(_check_period_root, r, q, n, coeffs)
+        got = _raises(_check_period_root, r, q, n, coeffs, _eta_classes(r, q))
         assert got == _raises(_reference_period_root, r, q, n, coeffs), (r, q, n, j)
         assert want is None or got == want, (r, q, n, j)
 
