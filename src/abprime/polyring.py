@@ -29,8 +29,27 @@ degree at least _KRONECKER_MIN packs its base once, keeps the ladder
 packed, short bases included, and unpacks the result once.  Its ladder is
 instrument.binary_power: a sliding window of window_width(e) bits for a
 base of at least _KRONECKER_MIN coefficients, the binary method (width 1)
-for a shorter base, whose products are linear passes.  The paths
-agree coefficient for coefficient; the threshold is a tuning constant only.
+for a shorter base, whose products are linear passes.
+
+Ring multiplication has three tiers, set by one rule of sizes and no
+option: schoolbook below _KRONECKER_MIN coefficients; packed, with KS2
+int.__mul__ products, below _TRANSFORM_MIN bits of pack (the shorter
+factor's slots times their B bits); packed, with floating-point transform
+products (_Transform), from there on.  A transform product reads the KS1
+pack of each factor, its slots in order, as 16-bit digits (8-bit ones
+where Percival's error bound for floating-point FFT products, Math. Comp.
+72, 2003, does not keep 16-bit ones below _ROUNDING_LIMIT), convolves
+them by numpy.fft.rfft/irfft at one 5-smooth length, and rounds and
+carries the result back into packs.  A square takes one forward
+transform, and the spectra of mu and f mod x^d are kept per f, so a ring
+squaring takes 6 transforms and a ring multiply 7, not 9.  A guard checks
+every rounded digit: when one lies further than _ROUNDING_LIMIT from its
+computed value, that product is recomputed by int.__mul__, so no rounding
+error reaches a result.  numpy is imported on the first reducer of the
+transform tier, never by importing this module.  The tiers agree
+coefficient for coefficient: _KRONECKER_MIN and _TRANSFORM_MIN are
+tuning constants, measured break-evens, and _ROUNDING_LIMIT is an error
+budget.
 
 Euclid (poly_is_unit_mod, and the gcd-only _euclid) keeps each remainder
 and each Bezout multiplier as one pack, slot i holding coefficient i: a
@@ -44,6 +63,7 @@ integers, index = degree.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -63,6 +83,8 @@ __all__ = [
 ]
 
 _KRONECKER_MIN = 16  # shorter length below which schoolbook wins
+_TRANSFORM_MIN = 18000  # bits of the shorter pack from which a transform wins
+_ROUNDING_LIMIT = 0.25  # the rounding error a transform product may show
 
 
 class ModPoly:
@@ -331,6 +353,103 @@ class _Slots:
         return y - ((y + self.borrow) >> m.bit_length() & self.ones) * m
 
 
+def _smooth(n: int) -> int:
+    """The least 2^i 3^j 5^k >= n."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p = p5
+        while p < best:
+            best = min(best, p << ((n - 1) // p).bit_length())
+            p *= 3
+        p5 *= 5
+    return best
+
+
+class _Transform:
+    """Products of packed elements by floating-point FFT convolution.
+
+    An element of n coefficients, in slots of W bytes, is read as its KS1
+    pack, the n slots in order, cut into digits of w = 16 or 8 bits; the
+    product's digits are the rounded cyclic convolution of the factors'
+    digits, computed by numpy.fft.rfft/irfft at one 5-smooth length
+    ``size``, at least the sum of two factors' digit counts for factors
+    of at most d coefficients, so no product wraps.  Carry passes bring
+    the rounded digits below 2^w; their bytes are the product's KS1 pack,
+    whose slots are read out as the packs of its even and odd
+    coefficients.
+
+    The error bound (Percival, Math. Comp. 72, 2003, for a transform of
+    length 2^k): |computed - exact| < |x| |y| ((1 + e)^(3k) (1 + e sqrt 5)^(3k+1)
+    (1 + b)^(3k) - 1), with |x|, |y| the Euclidean norms of the digit
+    vectors, e = 2^-53 the unit roundoff and b the error of the roots,
+    taken as e, for k = ceil(log2 size).  A slot value below m touches at
+    most t = ceil((bits(m) + o) / w) digits, o the bit offset of a slot
+    start in a digit, so |x|^2 <= d t (2^w - 1)^2 for every factor.
+    fitting takes the widest w for which the bound is below
+    _ROUNDING_LIMIT, half of what exact rounding needs: the other half is
+    a margin for the mixed-radix and real-input passes of numpy's
+    transform, which the radix-2 proof does not cover.  product returns
+    None for a product whose rounding shows an error above the same
+    limit, and _Reducer._product recomputes that one by int.__mul__.
+    """
+
+    __slots__ = ("np", "width", "digit", "size")
+
+    def __init__(self, width: int, digit: int, size: int):
+        import numpy  # on the first reducer of the tier only
+
+        self.np, self.width, self.digit, self.size = numpy, width, digit, size
+
+    @classmethod
+    def fitting(cls, m: int, d: int, width: int) -> "_Transform | None":
+        """The transform for elements of at most d coefficients in [0, m),
+        in slots of width bytes, with the widest digit the bound allows;
+        None when none is allowed."""
+        eps = 2.0 ** -53
+        for digit in (16, 8):
+            size = _smooth(2 * -(-8 * width * d // digit))
+            k = (size - 1).bit_length()
+            growth = math.expm1(6 * k * math.log1p(eps) + (3 * k + 1) * math.log1p(eps * math.sqrt(5)))
+            touched = -(-(m.bit_length() + 8 * width % digit) // digit)
+            if d * touched * (2**digit - 1) ** 2 * growth < _ROUNDING_LIMIT:
+                return cls(width, digit, size)
+        return None
+
+    def spectrum(self, even: int, odd: int, n: int):
+        """The rfft of the digits of the element with packs even, odd and
+        n coefficients."""
+        np, width = self.np, self.width
+        raw = np.zeros(n * width + 1, np.uint8)
+        slots = raw[:n * width].reshape(n, width)
+        slots[0::2] = np.frombuffer(even.to_bytes((n + 1) // 2 * width, "little"),
+                                    np.uint8).reshape(-1, width)
+        slots[1::2] = np.frombuffer(odd.to_bytes(n // 2 * width, "little"),
+                                    np.uint8).reshape(-1, width)
+        count = -(-8 * n * width // self.digit)
+        return np.fft.rfft(raw[:count * self.digit // 8].view(f"<u{self.digit // 8}"), self.size)
+
+    def product(self, sa, sb, n: int) -> tuple[int, int] | None:
+        """The packs (even, odd) of the product of n coefficients whose
+        factors have the spectra sa and sb; None when a rounded digit lies
+        further than _ROUNDING_LIMIT from its computed value."""
+        np, digit = self.np, self.digit
+        # the product is below 2^(8 width n), so its digits from
+        # ceil(8 width n / w) on are 0
+        exact = np.fft.irfft(sa * sb, self.size)[:-(-8 * n * self.width // digit)]
+        digits = np.rint(exact)
+        if np.abs(exact - digits, out=exact).max() > _ROUNDING_LIMIT:
+            return None
+        # carry: each pass moves what lies above w bits one digit up, and
+        # the sum, below 2^(w count), never carries out of the top digit
+        digits = digits.astype(np.int64)
+        while (high := digits >> digit).any():
+            digits &= (1 << digit) - 1
+            digits[1:] += high[:-1]
+        slots = digits.astype(f"<u{digit // 8}").view(np.uint8)[:n * self.width].reshape(n, -1)
+        return (int.from_bytes(slots[0::2].tobytes(), "little"),
+                int.from_bytes(slots[1::2].tobytes(), "little"))
+
+
 class _Reducer:
     """Ring multiplication modulo one fixed monic f of degree d.
 
@@ -355,6 +474,13 @@ class _Reducer:
     end to end and reduces all their slots at once with _Slots, the
     slot-parallel Barrett step that Euclid shares.  The ladder keeps its
     elements packed from the first product to the last.
+
+    Each of the three products is _product's: two int products of KS2
+    points, or, when the shorter factor's pack has at least
+    _TRANSFORM_MIN bits and the reducer has a _Transform (from
+    _Transform.fitting, once per f), a transform product, which returns
+    the same packs.  mu and f mod x^d enter every ring multiplication, so
+    their KS2 points and spectra are computed once, by _kept.
     """
 
     def __init__(self, f: ModPoly):
@@ -369,16 +495,24 @@ class _Reducer:
             m, d = self.m, self.d
             width = (2 * m.bit_length() + d.bit_length() + 2 + 7) // 8
             bits = 8 * width
-            self._mu = _points(self._reciprocal(d - 1)[::-1], width)
-            self._f_low = _points(self.f[:d], width)
+            self._width = width
+            self._fft = _Transform.fitting(m, d, width) if d * bits >= _TRANSFORM_MIN else None
+            self._mu = self._kept(self._reciprocal(d - 1)[::-1])
+            self._f_low = self._kept(self.f[:d])
             bias = d * m * m
             self._bias = (_pack([bias] * ((d + 1) // 2), width),
                           _pack([bias] * (d // 2), width))
             self._masks = ((1 << bits * ((d + 1) // 2)) - 1,
                            (1 << bits * (d // 2)) - 1)
             self._slots = _Slots(m, width, d)
-            self._width = width
         return self._width
+
+    def _kept(self, coeffs: list[int]) -> tuple:
+        """A factor of every ring multiplication (mu, f mod x^d): its packed
+        element, its KS2 points and, in the transform tier, its spectrum."""
+        width = self._width
+        a = _pack(coeffs[0::2], width), _pack(coeffs[1::2], width), len(coeffs)
+        return a, _pair(a[0], a[1], width), None if self._fft is None else self._fft.spectrum(*a)
 
     def _reciprocal(self, k: int) -> list[int]:
         # inverse of rev(f) modulo x^k; rev(f) has constant term 1 (f monic)
@@ -428,19 +562,35 @@ class _Reducer:
 
     def _mul(self, a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
         # a*b mod f, packed; a is b for a square
-        width = self._width
-        pa = _pair(a[0], a[1], width)
-        even, odd = _halves(*_times(pa, pa if a is b else _pair(b[0], b[1], width)), width)
+        even, odd = self._product(a, b)
         n = a[2] + b[2] - 1
         if n <= self.d:
             return (*self._reduce_slots(even, odd, n), n)
         return self._remainder(even, odd, n)
 
+    def _product(self, a: tuple[int, int, int], b: tuple[int, int, int],
+                 points: tuple[int, int] | None = None, spectrum=None) -> tuple[int, int]:
+        """The packs of a*b from the packed elements a and b, a is b for a
+        square; points and spectrum, when given, are b's, kept by _kept.
+        A transform product when the shorter pack has at least
+        _TRANSFORM_MIN bits and the reducer has a _Transform, else (and
+        when the transform's guard fails) two int products of KS2 points."""
+        width = self._width
+        if self._fft is not None and 8 * width * min(a[2], b[2]) >= _TRANSFORM_MIN:
+            sa = self._fft.spectrum(*a)
+            if spectrum is None:
+                spectrum = sa if a is b else self._fft.spectrum(*b)
+            out = self._fft.product(sa, spectrum, a[2] + b[2] - 1)
+            if out is not None:
+                return out
+        pa = _pair(a[0], a[1], width)
+        if points is None:
+            points = pa if a is b else _pair(b[0], b[1], width)
+        return _halves(*_times(pa, points), width)
+
     def _remainder(self, even: int, odd: int, n: int) -> tuple[int, int, int]:
         # c mod f from the packs of c, d < n = len(c) < 2d; see the class docstring
-        width = self._width
-        te, to = _halves(*_times(_pair(*self._quotient(even, odd, n), width),
-                                 self._f_low), width)
+        te, to = self._product((*self._quotient(even, odd, n), n - self.d), *self._f_low)
         (mask_e, mask_o), (bias_e, bias_o) = self._masks, self._bias
         return (*self._reduce_slots((even & mask_e) + bias_e - (te & mask_e),
                                     (odd & mask_o) + bias_o - (to & mask_o), self.d), self.d)
@@ -451,9 +601,8 @@ class _Reducer:
         (c div x^d)*mu."""
         d, width = self.d, self._width
         bits = 8 * width
-        top = _pair(*self._reduce_slots(*_drop(even, odd, d, bits), n - d), width)
-        prod = _halves(*_times(top, self._mu), width)
-        return self._reduce_slots(*_drop(*prod, d - 2, bits), n - d)
+        top = (*self._reduce_slots(*_drop(even, odd, d, bits), n - d), n - d)
+        return self._reduce_slots(*_drop(*self._product(top, *self._mu), d - 2, bits), n - d)
 
     def _reduce_slots(self, even: int, odd: int, n: int) -> tuple[int, int]:
         """Every slot of the packs of n coefficients, each below 2^B,

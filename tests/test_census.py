@@ -163,11 +163,20 @@ def test_mr_census_validation():
 
 
 def test_import_leaves_numpy_unloaded():
-    # numpy is loaded by the censuses when they run, not by `import abprime`
+    # numpy is loaded by the censuses and by polyring's transform tier when
+    # they run, not by `import abprime`, nor by a 14-bit full_pipeline,
+    # whose packs stay below _TRANSFORM_MIN; a product above it loads it
     src = Path(__file__).resolve().parent.parent / "src"
-    subprocess.run(
-        [sys.executable, "-c", "import abprime, sys; assert 'numpy' not in sys.modules"],
-        env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    code = ("import abprime, sys\n"
+            "assert 'numpy' not in sys.modules\n"
+            "v = abprime.full_pipeline(13187, abprime.PipelineConfig(), 1)\n"
+            "assert v.outcome is abprime.Outcome.PRIME\n"
+            "assert 'numpy' not in sys.modules\n"
+            "m = 2**127 - 1\n"
+            "a = abprime.ModPoly(m, range(1, 101))\n"
+            "abprime.poly_mul_mod(a, a, abprime.ModPoly(m, [1] * 101))\n"
+            "assert 'numpy' in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)), check=True)
 
 
 def test_root_count_example():

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import math
 import random
 from unittest import mock
@@ -19,9 +20,12 @@ from abprime import (
     random_poly,
 )
 from abprime.instrument import binary_method_mults, window_mults, window_width
+from abprime import polyring
 from abprime.polyring import (
     _KRONECKER_MIN,
+    _TRANSFORM_MIN,
     _Reducer,
+    _Transform,
     _divmod_schoolbook,
     _euclid,
     _mul_coeffs,
@@ -394,6 +398,108 @@ def test_short_base_pow_keeps_binary_method():
             got, tally, calls = _counted_pow(ModPoly(m, a), e, f)
             assert got == ModPoly(m, _reference_pow(a, e, list(f.coeffs), m)), (e, a)
             assert tally == calls == binary_method_mults(e), (e, a)
+
+
+# -- the transform tier ---------------------------------------------------------
+
+# primes, a composite, and composites with a small factor (3, 11, 31)
+_TIER_MODULI = (2**61 - 1, 2**89 - 1, 2**127 - 1, 2**64 + 1, 3 * (2**89 - 1), 341 * (2**107 - 1))
+
+
+def _pack_bits(m, d):
+    # the bits of the pack of d slots that a reducer mod an f of degree d uses
+    return 8 * d * ((2 * m.bit_length() + d.bit_length() + 2 + 7) // 8)
+
+
+@st.composite
+def _tier_operands(draw):
+    # deg f around the one at which the pack reaches _TRANSFORM_MIN, so both
+    # tiers are drawn; a base with all deg f coefficients and an exponent
+    # for window widths 1 to 3
+    rnd = random.Random(draw(st.integers(0, 2**64)))
+    m = rnd.choice(_TIER_MODULI + (rnd.randrange(2**60, 2**200),))
+    edge = next(d for d in itertools.count(1) if _pack_bits(m, d) >= _TRANSFORM_MIN)
+    d = rnd.randint(2 * edge // 3, 3 * edge // 2)
+    f = _stress_vector(rnd, m, d) + [1]
+    a = _stress_vector(rnd, m, d - 1) + [rnd.randrange(1, m)]
+    b = _stress_vector(rnd, m, rnd.randint(1, d))
+    bits = rnd.randint(2, 12)
+    return m, a, b, f, rnd.getrandbits(bits) | 1 << (bits - 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(_tier_operands())
+def test_transform_tier_matches_schoolbook_property(operands):
+    # below and above _TRANSFORM_MIN: the same powers and products as
+    # schoolbook, and the same tally of ring multiplications
+    m, a, b, f, e = operands
+    fp = ModPoly(m, f)
+    got, tally, calls = _counted_pow(ModPoly(m, a), e, fp)
+    assert got == ModPoly(m, _reference_pow(a, e, f, m))
+    assert tally == calls == window_mults(e, window_width(e))
+    assert poly_mul_mod(ModPoly(m, a), ModPoly(m, b), fp) == \
+        ModPoly(m, _schoolbook_remainder(_mul_schoolbook(a, b, m), f, m))
+    assert (_reducer_for(fp)._fft is not None) == (_pack_bits(m, len(f) - 1) >= _TRANSFORM_MIN)
+
+
+def _digit(m, d):
+    # the digit width of the transform for an f of degree d mod m
+    reducer = _Reducer(ModPoly(m, [1] * (d + 1)))
+    reducer._setup()
+    return reducer._fft.digit
+
+
+def _spied_products(monkeypatch):
+    # every value _Transform.product returns, None for a tripped guard
+    outcomes = []
+    orig = _Transform.product
+
+    def spy(self, *args):
+        outcomes.append(orig(self, *args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(_Transform, "product", spy)
+    return outcomes
+
+
+@pytest.mark.parametrize("m", [2**61 - 1, 3 * (2**89 - 1)], ids=["2^61-1", "3(2^89-1)"])
+def test_worst_case_operands_at_the_longest_16_bit_length(m, monkeypatch):
+    # every coefficient m - 1, the largest digits Percival's bound allows
+    # for: at the longest deg f that keeps 16-bit digits and at the next,
+    # which takes 8-bit ones, every transform product passes the guard
+    # and the ring products are schoolbook's
+    lo, hi = _TRANSFORM_MIN // _pack_bits(m, 1) + 1, 4000
+    assert _digit(m, lo) == 16 and _digit(m, hi) == 8
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _digit(m, mid) == 16 else (lo, mid)
+    outcomes = _spied_products(monkeypatch)
+    for d in (lo, hi):
+        f = [m - 1] * d + [1]
+        a = [m - 1] * d
+        expected = ModPoly(m, _schoolbook_remainder(_mul_schoolbook(a, a, m), f, m))
+        fp, ap = ModPoly(m, f), ModPoly(m, a)
+        assert poly_mul_mod(ap, ap, fp) == poly_mul_mod(ap, ModPoly(m, a), fp) == expected
+    assert len(outcomes) == 12 and None not in outcomes
+
+
+def test_tripped_guard_falls_back_to_int_products(monkeypatch):
+    # with the rounding limit at 0 every transform product fails its guard,
+    # and every ring product and power comes back exact from int.__mul__
+    rng = random.Random(22)
+    m, d = 2**127 - 1, 100
+    assert _pack_bits(m, d) >= _TRANSFORM_MIN
+    f = [rng.randrange(m) for _ in range(d)] + [1]
+    a = [rng.randrange(m) for _ in range(d)]
+    b = [rng.randrange(m) for _ in range(d)]
+    fp = ModPoly(m, f)
+    _reducer_for(fp)._setup()
+    outcomes = _spied_products(monkeypatch)
+    monkeypatch.setattr(polyring, "_ROUNDING_LIMIT", 0.0)
+    assert poly_mul_mod(ModPoly(m, a), ModPoly(m, b), fp) == \
+        ModPoly(m, _schoolbook_remainder(_mul_schoolbook(a, b, m), f, m))
+    assert poly_pow_mod(ModPoly(m, a), 1000, fp) == ModPoly(m, _reference_pow(a, 1000, f, m))
+    assert outcomes and all(out is None for out in outcomes)
 
 
 def _packs(values, width):
