@@ -9,8 +9,9 @@ stays above a constant.  The Miller-Rabin census enumerates each
 prime-power component p^e of N and combines the counts by CRT, so its work
 is the sum of the p^e rather than N.  Root counts of (x+1)^N - x^N - 1 in
 F_p[x]/(f) come from a gcd instead, at O(min(N/p^v, p^d)^2) F_p operations
-in Euclid for p^v the power of p dividing N, and check the mod-(p, f)
-census, which enumerates at the true N, by an independent method.
+in Euclid for p^v the power of p dividing N, on a polynomial written down
+by Lucas's theorem, and check the mod-(p, f) census, which enumerates at
+the true N, by an independent method.
 
 Counts are exact integers and fractions are exact rationals; a report also
 carries the applicable analytic bound so callers can flag any violation
@@ -20,9 +21,10 @@ Size limits are fixed constants: FACTOR_LIMIT bounds n for factoring,
 MR_LIMIT the Miller-Rabin census, EXTENSION_LIMIT the field size p^d of the
 root count and the irreducibility check, and ENUMERATION_LIMIT the work of
 an identity census, (number of h) * 2 binary_method_mults(n) * deg f, which
-the numpy-batched enumeration does at 0.01 to 0.02 microseconds a unit near
-the cap.  Larger instances raise DeskLimitError before any enumeration
-starts.
+the numpy-batched enumeration, whose ring product folds its top
+coefficients down once and reduces deg f rows mod m, does at 0.005 to 0.012
+microseconds a unit near the cap.  Larger instances raise DeskLimitError
+before any enumeration starts.
 """
 from __future__ import annotations
 
@@ -171,6 +173,40 @@ def _check_extension_args(n: int, p: int, f: ModPoly) -> tuple[ModPoly, int]:
     return fp, d
 
 
+def _g_mod_p(m: int, p: int) -> ModPoly:
+    """g = (x+1)^m - x^m - 1 over F_p, for m >= 1, written down by Lucas's
+    theorem instead of multiplied out.
+
+    binom(m, k) mod p is the product of binom(m_i, k_i) over the base-p
+    digits m_i of m and k_i of k (zero where some k_i > m_i), so the
+    binomials are the Kronecker product of one row binom(m_i, b), b < p, per
+    digit of m, each row read from factorials mod p up to the largest
+    digit; the top digit's row stops at b = m_i, which keeps the product
+    below 2(m + 1) entries.  The terms 1 and x^m cancel, so m = 1 gives 0.
+    """
+    digits = []
+    rest = m
+    while rest:
+        rest, r = divmod(rest, p)
+        digits.append(r)
+    top = max(digits)
+    fact = [1] * (top + 1)
+    for i in range(1, top + 1):
+        fact[i] = fact[i - 1] * i % p
+    inv = [1] * (top + 1)
+    inv[top] = pow(fact[top], -1, p)
+    for i in range(top, 0, -1):
+        inv[i - 1] = inv[i] * i % p
+    out = [1]
+    for i, a in enumerate(digits):
+        row = [fact[a] * inv[b] * inv[a - b] % p for b in range(a + 1)]
+        if i < len(digits) - 1:
+            row += [0] * (p - 1 - a)
+        # digit i is the coefficient of p^i: out's index k becomes b p^i + k
+        out = [r * c % p for r in row for c in out]
+    return ModPoly(p, [0] + out[1:m])
+
+
 def root_count_in_extension(n: int, p: int, f: ModPoly) -> int:
     """Number of roots of g = (x+1)^n - x^n - 1 in the field F_p[x]/(f).
 
@@ -181,16 +217,14 @@ def root_count_in_extension(n: int, p: int, f: ModPoly) -> int:
     m = (n'-1) mod (p^d-1) + 1, which agrees with n' on every beta in
     F_(p^d) (beta = -1 included, as m and n' share their parity for odd p),
     so deg g < min(n', p^d) and Euclid costs O(min(n', p^d)^2) F_p
-    operations.  n' = 1 leaves g = 0: every element is a root.
+    operations.  g is written down by Lucas's theorem (_g_mod_p), so only
+    x^(p^d) mod g multiplies.  n' = 1 leaves g = 0: every element is a root.
     """
     _, d = _check_extension_args(n, p, f)
     q = p**d
     _, n = strip_power(n, p)
     m = (n - 1) % (q - 1) + 1
-    x = ModPoly.x(p)
-    # (x+1)^m in full, as nothing of degree <= m is reduced mod x^(m+1)
-    g = poly_pow_mod(x.add_constant(1), m, ModPoly(p, [0] * (m + 1) + [1]))
-    g = (g - ModPoly(p, [0] * m + [1])).add_constant(-1)
+    g = _g_mod_p(m, p)
     if g.is_zero():
         return q
     inv = pow(g.coeffs[-1], -1, p)
@@ -198,6 +232,7 @@ def root_count_in_extension(n: int, p: int, f: ModPoly) -> int:
     if g.degree == 1:
         return 1  # g(0) = 0, so g = x
     # Euclid over the field F_p: only the gcd is read
+    x = ModPoly.x(p)
     gcd, _ = _euclid(poly_pow_mod(x, q, g) - x, g, bezout=False)
     return len(gcd) - 1
 
@@ -212,6 +247,43 @@ def _check_work(n: int, m: int, d: int) -> None:
                              f"exceeds the limit {ENUMERATION_LIMIT}")
 
 
+def _ring_mul(f: ModPoly):
+    """The product of Z/mZ[x]/(f) (m = f.modulus, monic f of degree d) on
+    blocks of elements: int64 arrays of shape (d, count), one row per
+    coefficient, each in [0, m).
+
+    The schoolbook product's d - 1 top coefficients are folded down
+    unreduced, each times its column x^(d+j) mod f (j = 0..d-2, computed
+    once per f), and the d remaining coefficients are reduced mod m once:
+    d row reductions a product.  Before that reduction a coefficient is at
+    most d(m-1)^2 + (d-1) d (m-1)^3 < d^2 m^3.  The census work cap holds
+    d m^d to 10^7, so for d >= 2 that is below 4.5*10^10 (d = 2, m = 2236)
+    and for d = 1, with nothing to fold, below m^2 <= 10^14: int64 holds.
+    """
+    import numpy as np
+
+    m, d = f.modulus, f.degree
+    f_low = f.coeffs[:d]
+    power = [-c % m for c in f_low]  # x^d mod f
+    columns = []
+    for _ in range(d - 1):
+        columns.append(power)
+        top = power[-1]
+        power = [(c - top * fc) % m for c, fc in zip([0] + power[:-1], f_low)]
+    columns = np.array(columns, dtype=np.int64).reshape(d - 1, d, 1)
+
+    def mul(a, b):
+        c = np.zeros((2 * d - 1, a.shape[1]), dtype=np.int64)
+        for i in range(d):
+            c[i:i + d] += a[i] * b
+        low = c[:d]
+        for j in range(d - 1):
+            low += c[d + j] * columns[j]
+        return low % m
+
+    return mul
+
+
 def _identity_count(n: int, f: ModPoly) -> int:
     """Count every h over Z/mZ (m = f.modulus), deg h < d = deg f, with
     (h+1)^n = h^n + 1 mod f, for monic f and n >= 2; _check_work first.
@@ -219,37 +291,27 @@ def _identity_count(n: int, f: ModPoly) -> int:
     h is numbered by its coefficients as base-m digits, the constant term
     lowest.  A block of consecutive numbers is held as an int64 array of
     shape (d, count), one row per coefficient, and T = h^n is computed for
-    the whole block by the binary_power ladder at width 1, which holds no
-    table of odd powers the size of the block, tallied as
-    binary_method_mults(n) ring multiplications per h.  h + 1 changes the
-    constant digit only, mod m, so it stays in the block of h when a block
-    is a whole number of runs of m numbers: max(1, 2^16 // m) runs.  The
-    count is the number of h with T[h+1] = T[h] + 1.
+    the whole block by the binary_power ladder at width 1 over _ring_mul's
+    product, which folds each product down once and reduces d rows mod m;
+    the width-1 ladder holds no table of odd powers the size of the block,
+    and is tallied as binary_method_mults(n) ring multiplications per h.
+    h + 1 changes the constant digit only, mod m, so it stays in the block
+    of h when a block is a whole number of runs of m numbers:
+    max(1, 2^16 // m) runs.  The count is the number of h with
+    T[h+1] = T[h] + 1.
 
     A block exceeds 2^16 elements only when m > 2^16, where the work cap
-    leaves d = 1 and m below 6*10^5.  The cap also bounds m^d by
-    ENUMERATION_LIMIT / 2, so every coefficient, within (2d-1)(m-1)^2 < 2^47
-    of zero before the last reduction mod m, fits in int64.  The two largest
-    inputs under the cap take 0.008 and 0.021 microseconds a unit of work
-    on a 2-core VM; a census of a few hundred elements is bound by numpy's
-    per-call overhead instead, about 1 ms.
+    leaves d = 1 and m below 6*10^5.  The two largest inputs under the cap
+    take 0.012 (7^6 elements) and 0.005 (409^2) microseconds a unit of work
+    at the reference CPU speed of perfbench/calibrate.py; a census of a few
+    hundred elements is bound by numpy's per-call overhead instead, about
+    0.3 ms (BENCH_census.json).
     """
     # imported here, as in _count_nonwitnesses
     import numpy as np
 
     m, d = f.modulus, f.degree
-    f_low = np.array(f.coeffs[:d], dtype=np.int64)[:, None]
-
-    def mul(a, b):
-        # schoolbook product, then the top coefficients, each reduced mod m,
-        # folded down by x^d = -f_low
-        c = np.zeros((2 * d - 1, a.shape[1]), dtype=np.int64)
-        for i in range(d):
-            c[i:i + d] += a[i] * b
-        for k in range(2 * d - 2, d - 1, -1):
-            c[k - d:k] -= c[k] % m * f_low
-        return c[:d] % m
-
+    mul = _ring_mul(f)
     total = m**d
     counter = active_counter()
     if counter is not None:

@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from abprime import (
     BoundViolation,
@@ -20,10 +22,11 @@ from abprime import (
     heuristic_class_scan,
     is_irreducible_mod_p,
     mr_nonwitness_census,
+    poly_mul_mod,
     poly_pow_mod,
     root_count_in_extension,
 )
-from abprime.census import _deg_g_mod_p, _identity_count
+from abprime.census import _check_work, _deg_g_mod_p, _g_mod_p, _identity_count, _ring_mul
 from abprime.instrument import binary_power
 from abprime.intarith import decompose_two_power
 
@@ -301,6 +304,92 @@ def test_identity_count_matches_loop():
     # starting at 255 * 257; at n = 257 every h passes (Frobenius)
     f = ModPoly(257, [3, 1, 1])
     assert _identity_count(257, f) == loop_identity_count(257, f) == 257**2
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17)
+
+
+@st.composite
+def _identity_count_inputs(draw):
+    """(n, f): f monic of degree 1-4 over Z/mZ, m a prime up to 17 or a
+    composite (the mod-N census), m^deg f <= 1500 to keep the loop short;
+    f irreducible mod every prime factor of m, or (x - a) g, or as drawn;
+    n drawn freely or as a multiple of m, as in the mod-p census."""
+    m = draw(st.sampled_from(_SMALL_PRIMES + (4, 6, 9, 10, 12, 15, 21, 35)))
+    d = draw(st.sampled_from([d for d in range(1, 5) if m**d <= 1500]))
+    kind = draw(st.sampled_from(["irreducible", "reducible", "drawn"]))
+    low = draw(st.lists(st.integers(0, m - 1), min_size=d, max_size=d))
+    if kind == "reducible" and d > 1:
+        a = draw(st.integers(0, m - 1))
+        g = low[:d - 1] + [1]
+        f = ModPoly(m, [x - a * y for x, y in zip([0] + g, g + [0])])
+    elif kind == "irreducible":
+        primes = [p for p in _SMALL_PRIMES if m % p == 0]
+        start = sum(c * m**i for i, c in enumerate(low))
+        for k in range(m**d):
+            number = (start + k) % m**d
+            f = ModPoly(m, [number // m**i % m for i in range(d)] + [1])
+            if all(is_irreducible_mod_p(f.reduce_to_modulus(p), p) for p in primes):
+                break
+    else:
+        f = ModPoly(m, low + [1])
+    n = draw(st.one_of(st.integers(2, 600), st.integers(1, 40).map(lambda k: k * m)))
+    return n, f
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_identity_count_inputs())
+@example((17 * 23, ModPoly(17, [3, 1, 1])))
+@example((15, ModPoly(15, [1, 0, 1])))
+def test_identity_count_matches_loop_property(inputs):
+    # the one-fold block product against two poly_pow_mod per h
+    n, f = inputs
+    assert _identity_count(n, f) == loop_identity_count(n, f), inputs
+
+
+@pytest.mark.parametrize("d, m", [(2, 2236), (3, 149), (6, 10)])
+def test_ring_mul_at_the_work_cap(d, m):
+    # the largest m the work cap admits at degree d (n = 2, one ring
+    # multiplication per power); every coefficient and operand m - 1, and
+    # f with x^d = (m - 1)(1 + x + ... + x^(d-1)), whose fold columns are
+    # large, each against the Python-int product
+    import numpy as np
+
+    _check_work(2, m, d)
+    with pytest.raises(DeskLimitError):
+        _check_work(2, m + 1, d)
+    a = ModPoly(m, [m - 1] * d)
+    block = np.full((d, 3), m - 1, dtype=np.int64)
+    for f in (ModPoly(m, [m - 1] * d + [1]), ModPoly(m, [1] * d + [1])):
+        want = list(poly_mul_mod(a, a, f).coeffs)
+        want += [0] * (d - len(want))
+        got = _ring_mul(f)(block, block)
+        assert got.tolist() == [[c] * 3 for c in want], (d, m, f)
+
+
+def test_g_by_lucas_matches_the_ring_power():
+    # g = (x+1)^m - x^m - 1 over F_p, against (x+1)^m mod x^(m+1)
+    for p in _SMALL_PRIMES:
+        x1 = ModPoly(p, [1, 1])
+        for m in range(1, 601):
+            power = poly_pow_mod(x1, m, ModPoly(p, [0] * (m + 1) + [1]))
+            want = (power - ModPoly(p, [0] * m + [1])).add_constant(-1)
+            assert _g_mod_p(m, p) == want, (p, m)
+    assert _g_mod_p(1, 2).is_zero() and _g_mod_p(1, 17).is_zero()
+
+
+def test_root_count_equals_census_on_the_benchmark_classes():
+    # the (p, deg f) classes of the census-exact workload, three seeded
+    # (n, f) each: n a multiple of p in [250, 500), not a power of p
+    rng = random.Random(2022)
+    for p, d in [(17, 2), (3, 4), (5, 4), (11, 3), (13, 3), (7, 4), (17, 3)]:
+        for _ in range(3):
+            while True:
+                f = ModPoly(p, [rng.randrange(p) for _ in range(d)] + [1])
+                if is_irreducible_mod_p(f, p):
+                    break
+            n = p * rng.choice([k for k in range(-(-250 // p), 500 // p) if k % p])
+            assert root_count_in_extension(n, p, f) == ab_failure_census_mod_p(n, p, f).failing, (n, f)
 
 
 def test_ab_census_mod_N_validation():
