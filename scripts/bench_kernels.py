@@ -17,6 +17,10 @@ and a seeded monic f of degree deg, it records
   whose elements need not be packed and unpacked at each step as one
   poly_mul_mod's are; only up to POW_MAX_DEG, as one call at 8192 x 256
   takes minutes;
+- pow_pair_step_us: (a + 1)^m and a^m as ab_test takes them, by
+  poly_pow_mod_many where the checkout has it (one lockstep ladder of the
+  two bases) and else by two poly_pow_mod, over half the ring
+  multiplications tallied: one step of the two bases; up to POW_MAX_DEG;
 - euclid_ms: _euclid(f', f, bezout=False), the gcd-only Euclid of the
   squarefree check, with f taken mod the first prime above m, so that the
   Euclid runs to its end instead of stopping at a factor of m; only up to
@@ -39,7 +43,9 @@ _KRONECKER_MIN, for shorter operands of SHORT coefficients against a
 longer one of equal length ("bal") or of LONG coefficients; and, where
 the change has a transform tier (_TRANSFORM_MIN), the int/transform time
 ratio of one packed ring squaring, the ladder step, by the bits of its
-pack (deg f slots of B bits), from which _TRANSFORM_MIN is read.  Each
+pack (deg f slots of B bits), for one row (int_over_transform) and for
+the two rows of ab_test's lockstep ladder (pair_int_over_transform), from
+which _TRANSFORM_MIN is read.  Each
 ratio is the median of TABLE_ROUNDS rounds that alternate the two paths.
 """
 from __future__ import annotations
@@ -103,13 +109,21 @@ def operand_bits(polyring, fn) -> int:
     return seen[0]
 
 
-def pow_steps(a, e: int, f) -> int:
-    """The ring multiplications poly_pow_mod(a, e, f) tallies."""
-    from abprime import count_operations, poly_pow_mod
+def pow_steps(run) -> int:
+    """The ring multiplications run() tallies."""
+    from abprime import count_operations
 
     with count_operations() as ops:
-        poly_pow_mod(a, e, f)
+        run()
     return ops.poly_mults
+
+
+def pow_pair(polyring, a, e: int, f):
+    """(a + 1)^e and a^e mod f as ab_test takes them in the checkout."""
+    bases = [a.add_constant(1), a]
+    if hasattr(polyring, "poly_pow_mod_many"):
+        return lambda: polyring.poly_pow_mod_many(bases, e, f)
+    return lambda: [polyring.poly_pow_mod(b, e, f) for b in bases]
 
 
 def kernel_row(polyring, deg: int, bits: int) -> dict:
@@ -122,8 +136,11 @@ def kernel_row(polyring, deg: int, bits: int) -> dict:
     f = ModPoly(m, [rng.randrange(m) for _ in range(deg)] + [1])
     pa, pb = ModPoly(m, a), ModPoly(m, b)
     poly_mul_mod(pa, pb, f)  # builds the reducer for f outside the timings
-    pow_step = (best_time(lambda: poly_pow_mod(pa, m, f)) / pow_steps(pa, m, f)
-                if deg <= POW_MAX_DEG else None)
+    pow_step = pair_step = None
+    if deg <= POW_MAX_DEG:
+        pow_step = best_time(lambda: poly_pow_mod(pa, m, f)) / pow_steps(lambda: poly_pow_mod(pa, m, f))
+        pair = pow_pair(polyring, pa, m, f)
+        pair_step = best_time(pair) / (pow_steps(pair) / 2)
     euclid = None
     if deg <= EUCLID_MAX_DEG:
         fp = f.reduce_to_modulus(int(sympy.nextprime(m)))
@@ -134,6 +151,7 @@ def kernel_row(polyring, deg: int, bits: int) -> dict:
         "mul_mod_us": round(best_time(lambda: poly_mul_mod(pa, pb, f)) * 1e6, 1),
         "square_mod_us": round(best_time(lambda: poly_mul_mod(pa, pa, f)) * 1e6, 1),
         "pow_step_us": None if pow_step is None else round(pow_step * 1e6, 1),
+        "pow_pair_step_us": None if pair_step is None else round(pair_step * 1e6, 1),
         "euclid_ms": None if euclid is None else round(euclid * 1e3, 3),
         "operand_kbit": round(operand_bits(polyring, lambda: polyring._mul_coeffs(a, b, m)) / 1000, 2),
     }
@@ -206,11 +224,15 @@ def transform_table(polyring) -> dict:
                 polyring._TRANSFORM_MIN = 0
                 red = polyring._Reducer(ModPoly(m, [rng.randrange(m) for _ in range(deg)] + [1]))
                 red._setup()
-                x = red._packed([rng.randrange(m) for _ in range(deg)])
+                one = (red._packed([rng.randrange(m) for _ in range(deg)]),)
+                two = one + (red._packed([rng.randrange(m) for _ in range(deg)]),)
                 row[str(kbit)] = {"pack_kbit": round(deg * 8 * red._width / 1000, 1),
                                   "int_over_transform": alternated_ratio(
-                                      _tiered(polyring, red, x, 1 << 62),
-                                      _tiered(polyring, red, x, 0))}
+                                      _tiered(polyring, red, one, 1 << 62),
+                                      _tiered(polyring, red, one, 0)),
+                                  "pair_int_over_transform": alternated_ratio(
+                                      _tiered(polyring, red, two, 1 << 62),
+                                      _tiered(polyring, red, two, 0))}
             table[str(bits)] = row
             print(bits, row, file=sys.stderr, flush=True)
     finally:
@@ -218,11 +240,12 @@ def transform_table(polyring) -> dict:
     return table
 
 
-def _tiered(polyring, red, x, tier: int):
-    # one packed squaring with _TRANSFORM_MIN = tier, which each product reads
+def _tiered(polyring, red, xs, tier: int):
+    # one lockstep packed squaring of the rows xs with _TRANSFORM_MIN =
+    # tier, which each product reads
     def run():
         polyring._TRANSFORM_MIN = tier
-        red._mul(x, x)
+        red._mul(xs, xs)
     return run
 
 

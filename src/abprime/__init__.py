@@ -44,6 +44,7 @@ from .polyring import (
     poly_is_unit_mod,
     poly_mul_mod,
     poly_pow_mod,
+    poly_pow_mod_many,
     random_poly,
 )
 from .primality import (

@@ -24,12 +24,16 @@ the odd coefficients, and unpacks nothing inside a product: the quotient
 is read off the packed product with Barrett's mu = x^(2d-2) div f, the
 remainder is formed on the packs with a bias that keeps every slot
 nonnegative, and a slot-parallel Barrett reduction brings every slot back
-into [0, N) with a few big-integer operations.  poly_pow_mod mod an f of
-degree at least _KRONECKER_MIN packs its base once, keeps the ladder
-packed, short bases included, and unpacks the result once.  Its ladder is
+into [0, N) with a few big-integer operations.  poly_pow_mod_many (and
+poly_pow_mod, its one-base case) mod an f of degree at least
+_KRONECKER_MIN packs each base once, keeps the ladder packed, short bases
+included, and unpacks each result once.  Its ladder is
 instrument.binary_power: a sliding window of window_width(e) bits for a
 base of at least _KRONECKER_MIN coefficients, the binary method (width 1)
-for a shorter base, whose products are linear passes.
+for a shorter base, whose products are linear passes.  The bases of one
+width run in lockstep on one ladder over the tuple of them: each step
+multiplies every row, and each product of the step is one batched call
+for all of them.
 
 Ring multiplication has three tiers, set by one rule of sizes and no
 option: schoolbook below _KRONECKER_MIN coefficients; packed, with KS2
@@ -39,14 +43,19 @@ products (_Transform), from there on.  A transform product reads the KS1
 pack of each factor, its slots in order, as 16-bit digits (8-bit ones
 where Percival's error bound for floating-point FFT products, Math. Comp.
 72, 2003, does not keep 16-bit ones below _ROUNDING_LIMIT), convolves
-them by numpy.fft.rfft/irfft at one 5-smooth length, and rounds and
-carries the result back into packs.  A square takes one forward
-transform, and the spectra of mu and f mod x^d are kept per f, so a ring
-squaring takes 6 transforms and a ring multiply 7, not 9.  A guard checks
-every rounded digit: when one lies further than _ROUNDING_LIMIT from its
-computed value, that product is recomputed by int.__mul__, so no rounding
-error reaches a result.  numpy is imported on the first reducer of the
-transform tier, never by importing this module.  The tiers agree
+them by numpy.fft.rfft/irfft, and rounds and carries the result back
+into packs; the rows of a lockstep step share one call of each numpy
+pass.  A square takes one forward transform, the spectra of mu and f are
+kept per f, and q*f, of which the remainder reads only the low d
+coefficients, is taken mod x^L - 1 (L > d, even) at about half the
+length, c being folded mod x^L - 1 to match.  So a ring squaring takes 4
+transforms of the full length and 2 of the half one, and a ring multiply
+one more of the full length, where 9 of the full length would do without
+these.  A guard checks every rounded digit: when one lies further than
+_ROUNDING_LIMIT from its computed value, that row's product alone is
+recomputed by int.__mul__, so no rounding error reaches a result.
+numpy is imported on the first reducer of the transform tier, never by
+importing this module.  The tiers agree
 coefficient for coefficient: _KRONECKER_MIN and _TRANSFORM_MIN are
 tuning constants, measured break-evens, and _ROUNDING_LIMIT is an error
 budget.
@@ -65,6 +74,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import threading
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -78,12 +88,13 @@ __all__ = [
     "UnitOutcome",
     "poly_mul_mod",
     "poly_pow_mod",
+    "poly_pow_mod_many",
     "random_poly",
     "poly_is_unit_mod",
 ]
 
 _KRONECKER_MIN = 16  # shorter length below which schoolbook wins
-_TRANSFORM_MIN = 18000  # bits of the shorter pack from which a transform wins
+_TRANSFORM_MIN = 15000  # bits of the shorter pack from which a transform wins
 _ROUNDING_LIMIT = 0.25  # the rounding error a transform product may show
 
 
@@ -366,17 +377,27 @@ def _smooth(n: int) -> int:
 
 
 class _Transform:
-    """Products of packed elements by floating-point FFT convolution.
+    """Products of rows of packed elements by floating-point FFT convolution.
 
     An element of n coefficients, in slots of W bytes, is read as its KS1
     pack, the n slots in order, cut into digits of w = 16 or 8 bits; the
     product's digits are the rounded cyclic convolution of the factors'
-    digits, computed by numpy.fft.rfft/irfft at one 5-smooth length
-    ``size``, at least the sum of two factors' digit counts for factors
-    of at most d coefficients, so no product wraps.  Carry passes bring
-    the rounded digits below 2^w; their bytes are the product's KS1 pack,
-    whose slots are read out as the packs of its even and odd
-    coefficients.
+    digits, computed by numpy.fft.rfft/irfft along the rows of a 2-D
+    batch, so the rows of one ladder step share one call of each.  Two
+    lengths serve:
+
+    - ``size``, 5-smooth and at least the sum of two factors' digit counts
+      for factors of at most d coefficients, so no product wraps;
+    - ``wrap_size`` = 8 W L / w for ``wrap`` = L = 2 j slots, j the least
+      5-smooth number with L >= d + 1, for q*f mod x^L - 1: the digits
+      then wrap at the slot boundary 2^(8 W L), and the product is the
+      integer one mod 2^(8 W L) - 1.  Its length is about half of size,
+      and its factors are q and f with its leading 1.
+
+    Carry passes bring the rounded digits below 2^w, the carry out of the
+    top digit going round to the bottom one (it is 0 for a product that
+    does not wrap); the digits' bytes are the product's KS1 pack, whose
+    slots are read out as the packs of its even and odd coefficients.
 
     The error bound (Percival, Math. Comp. 72, 2003, for a transform of
     length 2^k): |computed - exact| < |x| |y| ((1 + e)^(3k) (1 + e sqrt 5)^(3k+1)
@@ -384,70 +405,106 @@ class _Transform:
     vectors, e = 2^-53 the unit roundoff and b the error of the roots,
     taken as e, for k = ceil(log2 size).  A slot value below m touches at
     most t = ceil((bits(m) + o) / w) digits, o the bit offset of a slot
-    start in a digit, so |x|^2 <= d t (2^w - 1)^2 for every factor.
-    fitting takes the widest w for which the bound is below
-    _ROUNDING_LIMIT, half of what exact rounding needs: the other half is
-    a margin for the mixed-radix and real-input passes of numpy's
-    transform, which the radix-2 proof does not cover.  product returns
-    None for a product whose rounding shows an error above the same
-    limit, and _Reducer._product recomputes that one by int.__mul__.
+    start in a digit, so |x|^2 <= (d + 1) t (2^w - 1)^2 for every factor,
+    f with its leading 1 included.  fitting takes the widest w for which
+    the bound is below _ROUNDING_LIMIT, half of what exact rounding needs:
+    the other half is a margin for the mixed-radix and real-input passes
+    of numpy's transform, which the radix-2 proof does not cover.  product
+    returns None for a row whose rounding shows an error above the same
+    limit, and _Reducer._product recomputes that row alone by int.__mul__.
     """
 
-    __slots__ = ("np", "width", "digit", "size")
+    __slots__ = ("np", "width", "digit", "size", "wrap", "wrap_size")
 
-    def __init__(self, width: int, digit: int, size: int):
+    def __init__(self, width: int, digit: int, size: int, wrap: int):
         import numpy  # on the first reducer of the tier only
 
         self.np, self.width, self.digit, self.size = numpy, width, digit, size
+        self.wrap, self.wrap_size = wrap, 8 * width * wrap // digit
 
     @classmethod
     def fitting(cls, m: int, d: int, width: int) -> "_Transform | None":
-        """The transform for elements of at most d coefficients in [0, m),
-        in slots of width bytes, with the widest digit the bound allows;
-        None when none is allowed."""
+        """The transform for elements of at most d + 1 coefficients in
+        [0, m), in slots of width bytes, with the widest digit the bound
+        allows; None when none is allowed."""
         eps = 2.0 ** -53
         for digit in (16, 8):
             size = _smooth(2 * -(-8 * width * d // digit))
             k = (size - 1).bit_length()
             growth = math.expm1(6 * k * math.log1p(eps) + (3 * k + 1) * math.log1p(eps * math.sqrt(5)))
             touched = -(-(m.bit_length() + 8 * width % digit) // digit)
-            if d * touched * (2**digit - 1) ** 2 * growth < _ROUNDING_LIMIT:
-                return cls(width, digit, size)
+            if (d + 1) * touched * (2**digit - 1) ** 2 * growth < _ROUNDING_LIMIT:
+                return cls(width, digit, size, 2 * _smooth(-(-(d + 1) // 2)))
         return None
 
-    def spectrum(self, even: int, odd: int, n: int):
-        """The rfft of the digits of the element with packs even, odd and
-        n coefficients."""
-        np, width = self.np, self.width
-        raw = np.zeros(n * width + 1, np.uint8)
-        slots = raw[:n * width].reshape(n, width)
-        slots[0::2] = np.frombuffer(even.to_bytes((n + 1) // 2 * width, "little"),
-                                    np.uint8).reshape(-1, width)
-        slots[1::2] = np.frombuffer(odd.to_bytes(n // 2 * width, "little"),
-                                    np.uint8).reshape(-1, width)
-        count = -(-8 * n * width // self.digit)
-        return np.fft.rfft(raw[:count * self.digit // 8].view(f"<u{self.digit // 8}"), self.size)
+    def spectrum(self, rows: Sequence[tuple[int, int, int]], wrapped: bool, role: str):
+        """The rfft of the digits of each packed element (even, odd, n) of
+        rows, one row of the result each, at wrap_size when wrapped, in
+        the scratch array of role."""
+        np, width, step = self.np, self.width, self.digit // 8
+        size = self.wrap_size if wrapped else self.size
+        count = -(-max(n for _, _, n in rows) * width // step)
+        raw = self._scratch("bytes", len(rows), size * step, np.uint8)[:, :count * step]
+        raw.fill(0)
+        for line, (even, odd, n) in zip(raw, rows):
+            slots = line[:n * width].reshape(n, width)
+            slots[0::2] = np.frombuffer(even.to_bytes((n + 1) // 2 * width, "little"),
+                                        np.uint8).reshape(-1, width)
+            slots[1::2] = np.frombuffer(odd.to_bytes(n // 2 * width, "little"),
+                                        np.uint8).reshape(-1, width)
+        digits = self._scratch("real", len(rows), size, np.float64)
+        digits[:, count:] = 0
+        np.copyto(digits[:, :count], raw.view(f"<u{step}"))
+        return np.fft.rfft(digits, size, out=self._scratch(role, len(rows), size // 2 + 1, np.complex128))
 
-    def product(self, sa, sb, n: int) -> tuple[int, int] | None:
-        """The packs (even, odd) of the product of n coefficients whose
-        factors have the spectra sa and sb; None when a rounded digit lies
-        further than _ROUNDING_LIMIT from its computed value."""
-        np, digit = self.np, self.digit
-        # the product is below 2^(8 width n), so its digits from
-        # ceil(8 width n / w) on are 0
-        exact = np.fft.irfft(sa * sb, self.size)[:-(-8 * n * self.width // digit)]
-        digits = np.rint(exact)
-        if np.abs(exact - digits, out=exact).max() > _ROUNDING_LIMIT:
-            return None
-        # carry: each pass moves what lies above w bits one digit up, and
-        # the sum, below 2^(w count), never carries out of the top digit
-        digits = digits.astype(np.int64)
-        while (high := digits >> digit).any():
+    def product(self, sa, sb, ns: Sequence[int], wrapped: bool = False) -> list:
+        """The packs (even, odd) of each row's product, of ns[i]
+        coefficients, from the rows of the spectra sa and sb (sb may be one
+        row for all); when wrapped, of the product mod x^wrap - 1, with
+        ns[i] = wrap.  None for a row where a rounded digit lies further
+        than _ROUNDING_LIMIT from its computed value.  sa is overwritten."""
+        np, digit, width = self.np, self.digit, self.width
+        size, k = self.wrap_size if wrapped else self.size, len(ns)
+        # a product that does not wrap is below 2^(8 width n), so its
+        # digits from ceil(8 width n / w) on are 0
+        count = size if wrapped else -(-8 * max(ns) * width // digit)
+        exact = np.fft.irfft(np.multiply(sa, sb, out=sa), size,
+                             out=self._scratch("real", k, size, np.float64))[:, :count]
+        digits = self._scratch("int", k, size, np.int64)[:, :count]
+        np.rint(exact, out=digits, casting="unsafe")
+        tripped = np.abs(np.subtract(exact, digits, out=exact), out=exact).max(axis=1) > _ROUNDING_LIMIT
+        digits[tripped] = 0  # nonnegative digits, so the carry passes end
+        # carry: each pass moves what lies above w bits one digit up, round
+        # from the top digit to the bottom one; without a wrap the sum is
+        # below 2^(w count), so nothing goes round
+        high = self._scratch("high", k, size, np.int64)[:, :count]
+        while np.right_shift(digits, digit, out=high).any():
             digits &= (1 << digit) - 1
-            digits[1:] += high[:-1]
-        slots = digits.astype(f"<u{digit // 8}").view(np.uint8)[:n * self.width].reshape(n, -1)
-        return (int.from_bytes(slots[0::2].tobytes(), "little"),
-                int.from_bytes(slots[1::2].tobytes(), "little"))
+            digits[:, 1:] += high[:, :-1]
+            digits[:, 0] += high[:, -1]
+        raw = self._scratch("bytes", k, size * digit // 8, np.uint8)[:, :count * digit // 8]
+        np.copyto(raw.view(f"<u{digit // 8}"), digits, casting="unsafe")
+        out = []
+        for line, n, bad in zip(raw, ns, tripped):
+            slots = line[:n * width].reshape(n, width)
+            out.append(None if bad else (int.from_bytes(slots[0::2].tobytes(), "little"),
+                                         int.from_bytes(slots[1::2].tobytes(), "little")))
+        return out
+
+    def _scratch(self, role: str, rows: int, length: int, dtype):
+        """This thread's array of role for rows x length, kept between
+        products: fresh arrays in every product made a ladder step 3-24%
+        slower at deg f 128-1024."""
+        pool = vars(_SCRATCH)
+        key = role, rows, length
+        if key not in pool:
+            if len(pool) >= 32:
+                pool.clear()
+            pool[key] = self.np.empty((rows, length), dtype)
+        return pool[key]
+
+
+_SCRATCH = threading.local()
 
 
 class _Reducer:
@@ -460,26 +517,36 @@ class _Reducer:
     KS2 packs of its even and its odd coefficients, in slots of B = 8W bits
     with W = ceil((2 bits(m) + bits(d) + 2) / 8), so 2^B > 4 d m^2.  The
     Barrett quotient mu = x^(2d-2) div f (Newton's reciprocal of rev(f)
-    mod x^(d-1), reversed once) and f mod x^d are packed once per f, on the
+    mod x^(d-1), reversed once) and f itself are packed once per f, on the
     first packed product.  For c = a*b = q*f + r of n coefficients, d < n:
 
     - c div x^d, the top n - d slots, has its slots reduced mod m;
     - q is the top n - d coefficients of (c div x^d)*mu, slots reduced;
-    - r = (c mod x^d) + BIAS - (q*f mod x^d), slots reduced.
+    - r = (c mod x^d) + BIAS - (q*f mod x^d), slots reduced; in the
+      transform tier c and q*f are first taken mod x^L - 1 (L = wrap of
+      the _Transform, even, L > d), as c - q*f = r has degree below d:
+      the packs of c fold by one shift, and q*f is a wrapped transform
+      product of about half the length.
 
-    Every slot of c, of (c div x^d)*mu and of q*f is at most d(m-1)^2, and
-    every BIAS slot is d m^2, a multiple of m, so each slot of c + BIAS and
-    of r lies in [0, 2 d m^2]: no borrow crosses a slot, and every slot
-    handed to _reduce_slots is below 2^B.  _reduce_slots lays the two packs
-    end to end and reduces all their slots at once with _Slots, the
-    slot-parallel Barrett step that Euclid shares.  The ladder keeps its
+    Every slot of c, of (c div x^d)*mu and of q*f (wrapped or not: as
+    L > d, a slot of q*f mod x^L - 1 sums at most n - d products) is at
+    most d(m-1)^2, a slot of c mod x^L - 1 at most 2d(m-1)^2, and every
+    BIAS slot is d m^2, a multiple of m, so each slot of c + BIAS and of r
+    lies in [0, 3 d m^2), and 3 d m^2 < 2^B: no borrow crosses a slot, and
+    every slot handed to _reduce_slots is below 2^B.  _reduce_slots lays
+    the two packs end to end and reduces all their slots at once with
+    _Slots, the slot-parallel Barrett step that Euclid shares.  The ladder keeps its
     elements packed from the first product to the last.
 
-    Each of the three products is _product's: two int products of KS2
-    points, or, when the shorter factor's pack has at least
-    _TRANSFORM_MIN bits and the reducer has a _Transform (from
-    _Transform.fitting, once per f), a transform product, which returns
-    the same packs.  mu and f mod x^d enter every ring multiplication, so
+    _mul multiplies rows of elements, one row per base of a ladder run in
+    lockstep, and each of the three products is _product's over all rows:
+    two int products of KS2 points per row, or, for the rows whose shorter
+    factor's pack has at least _TRANSFORM_MIN bits when the reducer has a
+    _Transform (from _Transform.fitting, once per f), one batched
+    transform product, which returns the same packs.  A ring squaring then
+    takes 4 transforms of the full length and 2 of the wrapped one per
+    row, a ring multiply one more of the full length.  The _Slots
+    reductions stay per row.  mu and f enter every ring multiplication, so
     their KS2 points and spectra are computed once, by _kept.
     """
 
@@ -498,7 +565,7 @@ class _Reducer:
             self._width = width
             self._fft = _Transform.fitting(m, d, width) if d * bits >= _TRANSFORM_MIN else None
             self._mu = self._kept(self._reciprocal(d - 1)[::-1])
-            self._f_low = self._kept(self.f[:d])
+            self._f_kept = self._kept(self.f, wrapped=True)
             bias = d * m * m
             self._bias = (_pack([bias] * ((d + 1) // 2), width),
                           _pack([bias] * (d // 2), width))
@@ -507,12 +574,14 @@ class _Reducer:
             self._slots = _Slots(m, width, d)
         return self._width
 
-    def _kept(self, coeffs: list[int]) -> tuple:
-        """A factor of every ring multiplication (mu, f mod x^d): its packed
-        element, its KS2 points and, in the transform tier, its spectrum."""
+    def _kept(self, coeffs: list[int], wrapped: bool = False) -> tuple:
+        """A factor of every ring multiplication (mu, f): its packed
+        element, its KS2 points, whether its transform products wrap and,
+        in the transform tier, its spectrum."""
         width = self._width
         a = _pack(coeffs[0::2], width), _pack(coeffs[1::2], width), len(coeffs)
-        return a, _pair(a[0], a[1], width), None if self._fft is None else self._fft.spectrum(*a)
+        return (a, _pair(a[0], a[1], width), wrapped,
+                None if self._fft is None else self._fft.spectrum([a], wrapped, "a").copy())
 
     def _reciprocal(self, k: int) -> list[int]:
         # inverse of rev(f) modulo x^k; rev(f) has constant term 1 (f monic)
@@ -540,17 +609,26 @@ class _Reducer:
             return []
         if len(a) < _KRONECKER_MIN or len(b) < _KRONECKER_MIN:
             return self.reduce(_mul_schoolbook(a, b, self.m))
-        pa = self._packed(a)
-        return self._unpacked(self._mul(pa, pa if a is b else self._packed(b)))
+        xs = (self._packed(a),)
+        return self._unpacked(self._mul(xs, xs if a is b else (self._packed(b),))[0])
 
-    def power(self, a: Sequence[int], e: int, w: int) -> list[int]:
-        """a^e mod f for e >= 1 and a list a as for mul, by binary_power
-        of width w."""
-        if not a:
-            return []
+    def power(self, bases: Sequence[Sequence[int]], e: int, widths: Sequence[int]) -> list[list[int]]:
+        """[a^e mod f for a in bases] for e >= 1 and lists a as for mul,
+        each by binary_power of its width in widths.  Mod an f of degree at
+        least _KRONECKER_MIN, the nonzero bases of one width share one
+        ladder over the tuple of their packs, whose every step multiplies
+        all rows at once; below, where every product is schoolbook, each
+        base has a ladder of its own."""
         if self.d < _KRONECKER_MIN:
-            return binary_power(a, e, self.mul, w)
-        return self._unpacked(binary_power(self._packed(a), e, self._mul, w))
+            return [binary_power(a, e, self.mul, w) if a else [] for a, w in zip(bases, widths)]
+        out = list(bases)  # a zero base stays zero
+        for w in set(widths):
+            rows = [i for i, a in enumerate(bases) if a and widths[i] == w]
+            if rows:
+                ys = binary_power(tuple(self._packed(bases[i]) for i in rows), e, self._mul, w)
+                for i, y in zip(rows, ys):
+                    out[i] = self._unpacked(y)
+        return out
 
     # -- packed elements: (even pack, odd pack, number of coefficients) -----
     def _packed(self, a: Sequence[int]) -> tuple[int, int, int]:
@@ -560,49 +638,89 @@ class _Reducer:
     def _unpacked(self, a: tuple[int, int, int]) -> list[int]:
         return _unpack_halves(a[0], a[1], self._width, a[2], self.m)
 
-    def _mul(self, a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
-        # a*b mod f, packed; a is b for a square
-        even, odd = self._product(a, b)
-        n = a[2] + b[2] - 1
-        if n <= self.d:
-            return (*self._reduce_slots(even, odd, n), n)
-        return self._remainder(even, odd, n)
+    def _mul(self, xs: Sequence[tuple[int, int, int]], ys: Sequence) -> list[tuple[int, int, int]]:
+        # x*y mod f for each row x of xs and y of ys, packed; xs is ys for
+        # squares
+        return self._remainder(self._product(xs, ys))
 
-    def _product(self, a: tuple[int, int, int], b: tuple[int, int, int],
-                 points: tuple[int, int] | None = None, spectrum=None) -> tuple[int, int]:
-        """The packs of a*b from the packed elements a and b, a is b for a
-        square; points and spectrum, when given, are b's, kept by _kept.
-        A transform product when the shorter pack has at least
-        _TRANSFORM_MIN bits and the reducer has a _Transform, else (and
-        when the transform's guard fails) two int products of KS2 points."""
+    def _product(self, xs: Sequence[tuple[int, int, int]], ys: Sequence | None = None,
+                 kept: tuple | None = None) -> list[tuple[int, int, int]]:
+        """The packed x*y for each row x of xs and y of ys, ys is xs for
+        squares, or x times the factor kept by _kept, mod x^L - 1 when that
+        one wraps.  The rows whose shorter factor's pack has at least
+        _TRANSFORM_MIN bits take one batched transform product when the
+        reducer has a _Transform; every other row, and every row whose
+        guard trips, two int products of KS2 points."""
         width = self._width
-        if self._fft is not None and 8 * width * min(a[2], b[2]) >= _TRANSFORM_MIN:
-            sa = self._fft.spectrum(*a)
-            if spectrum is None:
-                spectrum = sa if a is b else self._fft.spectrum(*b)
-            out = self._fft.product(sa, spectrum, a[2] + b[2] - 1)
-            if out is not None:
-                return out
-        pa = _pair(a[0], a[1], width)
-        if points is None:
-            points = pa if a is b else _pair(b[0], b[1], width)
-        return _halves(*_times(pa, points), width)
+        if kept is not None:
+            ys = (kept[0],) * len(xs)
+        out = [None] * len(xs) if self._fft is None else self._transformed(xs, ys, kept)
+        for i, x in enumerate(xs):
+            if out[i] is None:
+                y = ys[i]
+                px = _pair(x[0], x[1], width)
+                hp, hm = _times(px, kept[1] if kept is not None else px if y is x
+                                else _pair(y[0], y[1], width))
+                out[i] = (hp + hm) >> 1, (hp - hm) >> (4 * width + 1), x[2] + y[2] - 1
+        return out
 
-    def _remainder(self, even: int, odd: int, n: int) -> tuple[int, int, int]:
-        # c mod f from the packs of c, d < n = len(c) < 2d; see the class docstring
-        te, to = self._product((*self._quotient(even, odd, n), n - self.d), *self._f_low)
+    def _transformed(self, xs, ys, kept) -> list:
+        # _product's rows that take one batched transform product, None
+        # for the others and for those whose guard trips
+        fft, bits = self._fft, 8 * self._width
+        out = [None] * len(xs)
+        big = [i for i, (x, y) in enumerate(zip(xs, ys)) if bits * min(x[2], y[2]) >= _TRANSFORM_MIN]
+        if big:
+            wrapped = kept is not None and kept[2]
+            sa = fft.spectrum([xs[i] for i in big], wrapped, "a")
+            sb = (kept[3] if kept is not None else sa if xs is ys
+                  else fft.spectrum([ys[i] for i in big], False, "b"))
+            ns = [fft.wrap if wrapped else xs[i][2] + ys[i][2] - 1 for i in big]
+            for i, n, p in zip(big, ns, fft.product(sa, sb, ns, wrapped)):
+                if p is not None:
+                    out[i] = (*p, n)
+        return out
+
+    def _remainder(self, cs: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+        # c mod f for each row c = (even, odd, n) of packs, n < 2d; see the
+        # class docstring.  A row with n <= d has only its slots reduced.
+        d, fft, reduce = self.d, self._fft, self._reduce_slots
+        qf = iter(self._product(self._quotient(cs), kept=self._f_kept))
         (mask_e, mask_o), (bias_e, bias_o) = self._masks, self._bias
-        return (*self._reduce_slots((even & mask_e) + bias_e - (te & mask_e),
-                                    (odd & mask_o) + bias_o - (to & mask_o), self.d), self.d)
+        if fft is not None:
+            shift = 4 * self._width * fft.wrap
+            low = (1 << shift) - 1
+        out = []
+        for even, odd, n in cs:
+            if n > d:
+                te, to, _ = next(qf)
+                if fft is not None:
+                    # c and q*f mod x^L - 1: c has fewer than 2L
+                    # coefficients, and L is even, so each pack folds by
+                    # one shift (a no-op on a wrapped transform product)
+                    even, odd = (even & low) + (even >> shift), (odd & low) + (odd >> shift)
+                    te, to = (te & low) + (te >> shift), (to & low) + (to >> shift)
+                even, odd, n = ((even & mask_e) + bias_e - (te & mask_e),
+                                (odd & mask_o) + bias_o - (to & mask_o), d)
+            even, odd = reduce(even, odd, n)
+            out.append((even, odd, n))
+        return out
 
-    def _quotient(self, even: int, odd: int, n: int) -> tuple[int, int]:
-        """The packs of c div f, slots reduced, from the packs of c,
-        d < n = len(c) < 2d: the top n - d coefficients of
-        (c div x^d)*mu."""
-        d, width = self.d, self._width
-        bits = 8 * width
-        top = (*self._reduce_slots(*_drop(even, odd, d, bits), n - d), n - d)
-        return self._reduce_slots(*_drop(*self._product(top, *self._mu), d - 2, bits), n - d)
+    def _quotient(self, cs: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+        """The packed elements c div f, slots reduced, for each row c =
+        (even, odd, n) of packs with d < n < 2d, the others skipped: the
+        top n - d coefficients of (c div x^d)*mu."""
+        d, bits, reduce = self.d, 8 * self._width, self._reduce_slots
+        tops = []
+        for even, odd, n in cs:
+            if n > d:
+                even, odd = reduce(*_drop(even, odd, d, bits), n - d)
+                tops.append((even, odd, n - d))
+        out = []
+        for (even, odd, _), (_, _, n) in zip(self._product(tops, kept=self._mu), tops):
+            even, odd = reduce(*_drop(even, odd, d - 2, bits), n)
+            out.append((even, odd, n))
+        return out
 
     def _reduce_slots(self, even: int, odd: int, n: int) -> tuple[int, int]:
         """Every slot of the packs of n coefficients, each below 2^B,
@@ -640,23 +758,33 @@ def poly_mul_mod(a: ModPoly, b: ModPoly, f: ModPoly) -> ModPoly:
 
 
 def poly_pow_mod(a: ModPoly, e: int, f: ModPoly) -> ModPoly:
-    """a**e mod f by the binary_power ladder, whose window_mults(e, w) ring
-    multiplications are tallied on the active OpCounter.  The width w is
-    window_width(e) for a base of at least _KRONECKER_MIN coefficients,
-    and 1 for a shorter one: a multiply by a short base (x, x + 1, a
-    constant) is a linear pass, not a full product, and a window would
-    trade those for multiplies by its longer odd powers.  From deg f =
-    _KRONECKER_MIN on, a is packed once and the result unpacked once."""
+    """a**e mod f: poly_pow_mod_many of the one base a."""
+    return poly_pow_mod_many((a,), e, f)[0]
+
+
+def poly_pow_mod_many(bases: Sequence[ModPoly], e: int, f: ModPoly) -> list[ModPoly]:
+    """[a**e mod f for a in bases], by binary_power ladders whose
+    window_mults(e, w) ring multiplications per base are tallied on the
+    active OpCounter.  The width w of a base is window_width(e) for a base
+    of at least _KRONECKER_MIN coefficients, and 1 for a shorter one: a
+    multiply by a short base (x, x + 1, a constant) is a linear pass, not
+    a full product, and a window would trade those for multiplies by its
+    longer odd powers.  The nonzero bases of one width share one ladder,
+    run in lockstep: each step multiplies all of them at once, one
+    batched transform in the transform tier.  From deg f = _KRONECKER_MIN
+    on, each base is packed once and each result unpacked once."""
     if e < 0:
         raise ValueError("negative exponent")
-    _check_ring_args(a, a, f)
+    for a in bases:
+        _check_ring_args(a, a, f)
+    m = f.modulus
     if e == 0:
-        return ModPoly.one(f.modulus)
-    w = window_width(e) if len(a.coeffs) >= _KRONECKER_MIN else 1
+        return [ModPoly.one(m) for _ in bases]
+    widths = [window_width(e) if len(a.coeffs) >= _KRONECKER_MIN else 1 for a in bases]
     counter = active_counter()
     if counter is not None:
-        counter.poly_mults += window_mults(e, w)
-    return ModPoly(f.modulus, _reducer_for(f).power(a.coeffs, e, w))
+        counter.poly_mults += sum(window_mults(e, w) for w in widths)
+    return [ModPoly(m, c) for c in _reducer_for(f).power([a.coeffs for a in bases], e, widths)]
 
 
 def random_poly(max_deg_exclusive: int, modulus: int, seed: int) -> ModPoly:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .intarith import floor_log2, least_divisor, strong_probable_prime
-from .polyring import ModPoly, poly_pow_mod, random_poly
+from .polyring import ModPoly, poly_pow_mod_many, random_poly
 
 __all__ = [
     "Outcome",
@@ -166,8 +166,11 @@ def ab_test(n: int, f: ModPoly, seed: int) -> Verdict:
     """Polynomial-identity test: does (h+1)^n == h^n + 1 hold mod f?
 
     Runs the trial-division screen, then draws one uniformly random h of
-    degree < deg f and compares both sides, each computed with a single
-    sliding-window exponentiation, which spends no more ring
+    degree < deg f and compares both sides.  (h+1)^n and h^n come from one
+    poly_pow_mod_many: the two bases run in lockstep on one sliding-window
+    ladder, whose every step multiplies both at once (in the transform
+    tier, one batched transform product for the two rows).  Each base is
+    tallied as its own exponentiation, which spends no more ring
     multiplications than the binary method (so at most 4*bitlen(n) in
     all).
     The accuracy guarantee on composite n requires f to be irreducible
@@ -179,9 +182,8 @@ def ab_test(n: int, f: ModPoly, seed: int) -> Verdict:
     if d is not None:
         return Verdict(Outcome.COMPOSITE, Divisor(d), seed, 0)
     h = random_poly(f.degree, n, seed)
-    lhs = poly_pow_mod(h.add_constant(1), n, f)
-    rhs = poly_pow_mod(h, n, f).add_constant(1)
-    if lhs == rhs:
+    lhs, rhs = poly_pow_mod_many([h.add_constant(1), h], n, f)
+    if lhs == rhs.add_constant(1):
         return Verdict(Outcome.PRIME, None, seed, 0)
     return Verdict(Outcome.COMPOSITE, ABPolynomial(h), seed, 0)
 

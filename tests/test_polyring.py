@@ -17,6 +17,7 @@ from abprime import (
     poly_is_unit_mod,
     poly_mul_mod,
     poly_pow_mod,
+    poly_pow_mod_many,
     random_poly,
 )
 from abprime.instrument import binary_method_mults, window_mults, window_width
@@ -450,37 +451,42 @@ def _digit(m, d):
 
 
 def _spied_products(monkeypatch):
-    # every value _Transform.product returns, None for a tripped guard
-    outcomes = []
+    # every row _Transform.product returns, None for a tripped guard, and
+    # the number of its calls and of its wrapped calls (q*f mod x^L - 1)
+    outcomes, calls = [], [0, 0]
     orig = _Transform.product
 
-    def spy(self, *args):
-        outcomes.append(orig(self, *args))
-        return outcomes[-1]
+    def spy(self, sa, sb, ns, wrapped=False):
+        calls[0] += 1
+        calls[1] += wrapped
+        rows = orig(self, sa, sb, ns, wrapped)
+        outcomes.extend(rows)
+        return rows
 
     monkeypatch.setattr(_Transform, "product", spy)
-    return outcomes
+    return outcomes, calls
 
 
 @pytest.mark.parametrize("m", [2**61 - 1, 3 * (2**89 - 1)], ids=["2^61-1", "3(2^89-1)"])
 def test_worst_case_operands_at_the_longest_16_bit_length(m, monkeypatch):
     # every coefficient m - 1, the largest digits Percival's bound allows
     # for: at the longest deg f that keeps 16-bit digits and at the next,
-    # which takes 8-bit ones, every transform product passes the guard
-    # and the ring products are schoolbook's
+    # which takes 8-bit ones, every transform product, the wrapped q*f of
+    # each ring product included, passes the guard and the ring products
+    # are schoolbook's
     lo, hi = _TRANSFORM_MIN // _pack_bits(m, 1) + 1, 4000
     assert _digit(m, lo) == 16 and _digit(m, hi) == 8
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if _digit(m, mid) == 16 else (lo, mid)
-    outcomes = _spied_products(monkeypatch)
+    outcomes, calls = _spied_products(monkeypatch)
     for d in (lo, hi):
         f = [m - 1] * d + [1]
         a = [m - 1] * d
         expected = ModPoly(m, _schoolbook_remainder(_mul_schoolbook(a, a, m), f, m))
         fp, ap = ModPoly(m, f), ModPoly(m, a)
         assert poly_mul_mod(ap, ap, fp) == poly_mul_mod(ap, ModPoly(m, a), fp) == expected
-    assert len(outcomes) == 12 and None not in outcomes
+    assert calls == [12, 4] and len(outcomes) == 12 and None not in outcomes
 
 
 def test_tripped_guard_falls_back_to_int_products(monkeypatch):
@@ -494,12 +500,142 @@ def test_tripped_guard_falls_back_to_int_products(monkeypatch):
     b = [rng.randrange(m) for _ in range(d)]
     fp = ModPoly(m, f)
     _reducer_for(fp)._setup()
-    outcomes = _spied_products(monkeypatch)
+    outcomes, _ = _spied_products(monkeypatch)
     monkeypatch.setattr(polyring, "_ROUNDING_LIMIT", 0.0)
     assert poly_mul_mod(ModPoly(m, a), ModPoly(m, b), fp) == \
         ModPoly(m, _schoolbook_remainder(_mul_schoolbook(a, b, m), f, m))
     assert poly_pow_mod(ModPoly(m, a), 1000, fp) == ModPoly(m, _reference_pow(a, 1000, f, m))
     assert outcomes and all(out is None for out in outcomes)
+
+
+@st.composite
+def _lockstep_operands(draw):
+    # deg f across _KRONECKER_MIN or across the transform break-even, one
+    # or two bases: full length, shorter (unequal lengths), or short ones
+    # such as x + 1 that take the width-1 ladder beside a windowed base
+    rnd = random.Random(draw(st.integers(0, 2**64)))
+    m = rnd.choice(_TIER_MODULI + (rnd.randrange(2**60, 2**200),))
+    if rnd.random() < 0.3:
+        d = rnd.randint(_KRONECKER_MIN // 2, 2 * _KRONECKER_MIN)
+    else:
+        edge = next(d for d in itertools.count(1) if _pack_bits(m, d) >= _TRANSFORM_MIN)
+        d = rnd.randint(2 * edge // 3, 3 * edge // 2)
+    f = _stress_vector(rnd, m, d) + [1]
+
+    def base():
+        kind = rnd.choice(["full", "full", "shorter", "short"])
+        if kind == "short":
+            return rnd.choice([[0, 1], [1, 1], [rnd.randrange(1, m)]])
+        size = d if kind == "full" else rnd.randint(1, d)
+        return _stress_vector(rnd, m, size - 1) + [rnd.randrange(1, m)]
+
+    bits = rnd.randint(2, 40)
+    return m, f, [base() for _ in range(rnd.randint(1, 2))], rnd.getrandbits(bits) | 1 << (bits - 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_lockstep_operands())
+def test_lockstep_powers_match_schoolbook_property(operands):
+    # poly_pow_mod_many against independent schoolbook powers; the tally
+    # stays per base, at its own width, and the bases of one width share
+    # one ladder: one _Reducer._mul per step, and in the transform tier
+    # one transform product per step for all their long rows
+    m, f, bases, e = operands
+    fp = ModPoly(m, f)
+    _reducer_for.cache_clear()
+    calls, rows = [0], []
+    orig_mul, orig_product = _Reducer._mul, _Transform.product
+
+    def spy_mul(self, *args):
+        calls[0] += 1
+        return orig_mul(self, *args)
+
+    def spy_product(self, sa, sb, ns, *args):
+        rows.append(len(ns))
+        return orig_product(self, sa, sb, ns, *args)
+
+    with mock.patch.object(_Reducer, "_mul", spy_mul), \
+            mock.patch.object(_Transform, "product", spy_product), count_operations() as ops:
+        got = poly_pow_mod_many([ModPoly(m, a) for a in bases], e, fp)
+    assert got == [ModPoly(m, _reference_pow(a, e, f, m)) for a in bases]
+    widths = [window_width(e) if len(a) >= _KRONECKER_MIN else 1 for a in bases]
+    assert ops.poly_mults == sum(window_mults(e, w) for w in widths)
+    reducer, d = _reducer_for(fp), len(f) - 1
+    if d < _KRONECKER_MIN:
+        assert reducer._width is None and calls == [0] and not rows
+        return
+    assert calls == [sum(window_mults(e, w) for w in set(widths))]
+    assert (reducer._fft is not None) == (_pack_bits(m, d) >= _TRANSFORM_MIN)
+    assert all(r <= len(bases) for r in rows)
+    if reducer._fft is not None and len(bases) == 2 and widths[0] == widths[1] \
+            and len(bases[0]) == len(bases[1]) == d:
+        assert rows and set(rows) == {2}
+
+
+def test_wrapped_product_carries_end_around():
+    # q*f mod x^L - 1 with q of d - 1 coefficients, all m - 1, and f all
+    # m - 1 with its leading 1: the convolution's top digit exceeds 2^w, so
+    # its carry goes round to the bottom digit, and the packs are those of
+    # the integer product mod 2^(8 W L) - 1
+    m, d = 2**61 - 1, 300
+    reducer = _Reducer(ModPoly(m, [m - 1] * d + [1]))
+    width = reducer._setup()
+    fft, bits = reducer._fft, 8 * width
+    assert fft is not None and fft.wrap > d
+    q = [m - 1] * (d - 1)
+    packed = _pack(q[0::2], width), _pack(q[1::2], width), len(q)
+    [got] = fft.product(fft.spectrum([packed], True, "a"), reducer._f_kept[3], [fft.wrap], True)
+    # the top digit of the cyclic convolution of the digit vectors
+    digits = [(v >> s) & (2**fft.digit - 1) for v in (_pack(q, width), _pack(reducer.f, width))
+              for s in range(0, fft.wrap_size * fft.digit, fft.digit)]
+    x, y = digits[:fft.wrap_size], digits[fft.wrap_size:]
+    top = sum(x[i] * y[fft.wrap_size - 1 - i] for i in range(fft.wrap_size))
+    assert top >= 2**fft.digit
+    value = _pack(q, width) * _pack(reducer.f, width) % (2**(bits * fft.wrap) - 1)
+    slots = [(value >> bits * i) & (2**bits - 1) for i in range(fft.wrap)]
+    assert got == _packs(slots, width)
+
+
+def test_tripped_row_alone_falls_back(monkeypatch):
+    # a guard that trips on one row of a batch: that row comes back None
+    # from _Transform.product, is recomputed by int.__mul__ alone, and the
+    # other row of the batch is kept
+    rng = random.Random(23)
+    m, d = 2**127 - 1, 100
+    f = [rng.randrange(m) for _ in range(d)] + [1]
+    a, b = ([rng.randrange(m) for _ in range(d)] for _ in range(2))
+    reducer = _Reducer(ModPoly(m, f))
+    width = reducer._setup()
+    fft = reducer._fft
+    rows = [(*_packs(v, width), d) for v in (a, b)]
+    spectra = fft.spectrum(rows, False, "a")
+    spectra[0, 0] += fft.size / 2  # every digit of row 0 off by 1/2
+    tripped, kept = fft.product(spectra, spectra, [2 * d - 1] * 2)
+    assert tripped is None
+    # the product's slots are the column sums of b*b, not reduced
+    assert kept == _packs([sum(b[i] * b[k - i] for i in range(max(0, k - d + 1), min(k, d - 1) + 1))
+                           for k in range(2 * d - 1)], width)
+    # through the ladder: every batched call trips on its first row only
+    orig, int_products = _Transform.product, [0]
+
+    def trip_first(self, *args):
+        out = orig(self, *args)
+        return [None] + out[1:] if len(out) == 2 else out
+
+    orig_times = polyring._times
+
+    def count_times(*args):
+        int_products[0] += 1
+        return orig_times(*args)
+
+    fp = ModPoly(m, f)
+    _reducer_for(fp)._setup()
+    monkeypatch.setattr(_Transform, "product", trip_first)
+    monkeypatch.setattr(polyring, "_times", count_times)
+    e = 1000
+    got = poly_pow_mod_many([ModPoly(m, a), ModPoly(m, b)], e, fp)
+    assert got == [ModPoly(m, _reference_pow(v, e, f, m)) for v in (a, b)]
+    assert int_products[0] == 3 * window_mults(e, window_width(e))
 
 
 def _packs(values, width):
@@ -556,8 +692,8 @@ def test_mu_quotient_matches_schoolbook_property(operands):
              if rnd.random() < 0.5 else v for v in c]
     expected = list(c)
     _divmod_schoolbook(expected, f, m)
-    assert reducer._quotient(*_packs(slots, width), len(c)) == \
-        _packs(expected[d:], width)
+    assert reducer._quotient([(*_packs(slots, width), len(c))]) == \
+        [(*_packs(expected[d:], width), len(c) - d)]
 
 
 def _reference_euclid(u, f, bezout):

@@ -19,6 +19,8 @@ from abprime import (
     poly_pow_mod,
     trial_division_stage,
 )
+from abprime.instrument import window_mults, window_width
+from abprime.polyring import _TRANSFORM_MIN, _reducer_for
 
 
 def sieve_primes(n):
@@ -126,6 +128,25 @@ def test_ab_multiplication_budget():
         with count_operations() as ops:
             ab_test(n, f, 7)
         assert ops.poly_mults <= 4 * n.bit_length() + 8
+
+
+@pytest.mark.parametrize("n, d", [(2**61 - 1, 40), (2**127 - 1, 100)], ids=["int-tier", "transform-tier"])
+def test_ab_tally_counts_two_exponentiations(n, d):
+    # the lockstep ladder tallies each base as its own poly_pow_mod would,
+    # below and above _TRANSFORM_MIN
+    rng = random.Random(24)
+    f = ModPoly(n, [rng.randrange(n) for _ in range(d)] + [1])
+    with count_operations() as ops:
+        verdict = ab_test(n, f, 5)
+    assert verdict.outcome is Outcome.PRIME
+    assert ops.poly_mults == 2 * window_mults(n, window_width(n))
+    bits = 8 * d * ((2 * n.bit_length() + d.bit_length() + 2 + 7) // 8)
+    assert (bits >= _TRANSFORM_MIN) == (d == 100)
+    assert (_reducer_for(f)._fft is not None) == (bits >= _TRANSFORM_MIN)
+    with count_operations() as ops:
+        for h in (ModPoly(n, [1] * d), ModPoly(n, [2] * d)):
+            poly_pow_mod(h, n, f)
+    assert ops.poly_mults == 2 * window_mults(n, window_width(n))
 
 
 def test_combined_rounds_and_determinism():
