@@ -45,8 +45,11 @@ the change has a transform tier (_TRANSFORM_MIN), the int/transform time
 ratio of one packed ring squaring, the ladder step, by the bits of its
 pack (deg f slots of B bits), for one row (int_over_transform) and for
 the two rows of ab_test's lockstep ladder (pair_int_over_transform), from
-which _TRANSFORM_MIN is read.  Each
-ratio is the median of TABLE_ROUNDS rounds that alternate the two paths.
+which _TRANSFORM_MIN is read.  A reducer's tier fixes the form of its
+packed elements when it is set up, so the two paths of this table are
+two reducers of the same f, each set up under its own _TRANSFORM_MIN.
+Each ratio is the median of TABLE_ROUNDS rounds that alternate the two
+paths.
 """
 from __future__ import annotations
 
@@ -208,8 +211,11 @@ def schoolbook_table(polyring) -> dict:
 
 
 def transform_table(polyring) -> dict:
-    """int/transform time of one packed ring squaring, by pack bits: the
-    reducer's tier is switched by _TRANSFORM_MIN between the two timings."""
+    """int/transform time of one packed ring squaring, by pack bits.  A
+    reducer fixes its tier, and with it the form of its packed elements
+    (KS2 pairs in the int tier, KS1 packs in the transform tier), when it
+    is set up, so each side has a reducer of its own for the same f, set up
+    with _TRANSFORM_MIN at that side's value, which each product reads."""
     from abprime import ModPoly
 
     saved, table = polyring._TRANSFORM_MIN, {}
@@ -221,18 +227,12 @@ def transform_table(polyring) -> dict:
                 deg = kbit * 1000 // (8 * width)
                 rng = random.Random(f"bench-kernels/transform/{bits}/{kbit}")
                 m = rng.getrandbits(bits) | 1 << (bits - 1) | 1
-                polyring._TRANSFORM_MIN = 0
-                red = polyring._Reducer(ModPoly(m, [rng.randrange(m) for _ in range(deg)] + [1]))
-                red._setup()
-                one = (red._packed([rng.randrange(m) for _ in range(deg)]),)
-                two = one + (red._packed([rng.randrange(m) for _ in range(deg)]),)
-                row[str(kbit)] = {"pack_kbit": round(deg * 8 * red._width / 1000, 1),
-                                  "int_over_transform": alternated_ratio(
-                                      _tiered(polyring, red, one, 1 << 62),
-                                      _tiered(polyring, red, one, 0)),
-                                  "pair_int_over_transform": alternated_ratio(
-                                      _tiered(polyring, red, two, 1 << 62),
-                                      _tiered(polyring, red, two, 0))}
+                f = ModPoly(m, [rng.randrange(m) for _ in range(deg)] + [1])
+                rows = [[rng.randrange(m) for _ in range(deg)] for _ in range(2)]
+                sides = [_tier(polyring, f, rows, tier) for tier in (1 << 62, 0)]
+                row[str(kbit)] = {"pack_kbit": round(deg * 8 * width / 1000, 1),
+                                  "int_over_transform": alternated_ratio(*(side[1] for side in sides)),
+                                  "pair_int_over_transform": alternated_ratio(*(side[2] for side in sides))}
             table[str(bits)] = row
             print(bits, row, file=sys.stderr, flush=True)
     finally:
@@ -240,13 +240,20 @@ def transform_table(polyring) -> dict:
     return table
 
 
-def _tiered(polyring, red, xs, tier: int):
-    # one lockstep packed squaring of the rows xs with _TRANSFORM_MIN =
-    # tier, which each product reads
-    def run():
-        polyring._TRANSFORM_MIN = tier
-        red._mul(xs, xs)
-    return run
+def _tier(polyring, f, rows, tier: int) -> dict:
+    """One-row and two-row lockstep packed squarings of rows mod f on a
+    reducer set up with _TRANSFORM_MIN = tier, keyed by the row count."""
+    polyring._TRANSFORM_MIN = tier
+    red = polyring._Reducer(f)
+    red._setup()
+    xs = tuple(red._packed(a) for a in rows)
+
+    def squaring(k):
+        def run():
+            polyring._TRANSFORM_MIN = tier
+            red._mul(xs[:k], xs[:k])
+        return run
+    return {1: squaring(1), 2: squaring(2)}
 
 
 def worker(src: str, cell: str | None) -> dict:

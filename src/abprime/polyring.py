@@ -19,11 +19,10 @@ replace one.
 
 A ring multiplication mod a monic f follows the same rule: with an operand
 shorter than _KRONECKER_MIN it is schoolbook, then schoolbook division.
-Otherwise _Reducer works on packed elements, the KS2 packs of the even and
-the odd coefficients, and unpacks nothing inside a product: the quotient
-is read off the packed product with Barrett's mu = x^(2d-2) div f, the
-remainder is formed on the packs with a bias that keeps every slot
-nonnegative, and a slot-parallel Barrett reduction brings every slot back
+Otherwise _Reducer works on packed elements, and unpacks nothing inside a
+product: the quotient is read off the packed product with Barrett's
+mu = x^(2d-2) div f, the remainder is formed on the packs with a bias
+that keeps every slot nonnegative, and a slot-parallel Barrett reduction brings every slot back
 into [0, N) with a few big-integer operations.  poly_pow_mod_many (and
 poly_pow_mod, its one-base case) mod an f of degree at least
 _KRONECKER_MIN packs each base once, keeps the ladder packed, short bases
@@ -39,26 +38,35 @@ Ring multiplication has three tiers, set by one rule of sizes and no
 option: schoolbook below _KRONECKER_MIN coefficients; packed, with KS2
 int.__mul__ products, below _TRANSFORM_MIN bits of pack (the shorter
 factor's slots times their B bits); packed, with floating-point transform
-products (_Transform), from there on.  A transform product reads the KS1
-pack of each factor, its slots in order, as 16-bit digits (8-bit ones
-where Percival's error bound for floating-point FFT products, Math. Comp.
-72, 2003, does not keep 16-bit ones below _ROUNDING_LIMIT), convolves
-them by numpy.fft.rfft/irfft, and rounds and carries the result back
-into packs; the rows of a lockstep step share one call of each numpy
-pass.  A square takes one forward transform, the spectra of mu and f are
-kept per f, and q*f, of which the remainder reads only the low d
-coefficients, is taken mod x^L - 1 (L > d, even) at about half the
-length, c being folded mod x^L - 1 to match.  So a ring squaring takes 4
+products (_Transform), from there on.  The rule is read once per f, and
+it also sets the form of the packed elements: a reducer of the int tier
+keeps each element as the KS2 packs of its even and its odd
+coefficients, whose two half-size int products win below the break-even;
+a reducer of the transform tier keeps each as one KS1 pack, slot i
+holding coefficient i, so that the quotient, the remainder, the fold and
+the slot reductions act on one integer, and a row below _TRANSFORM_MIN
+there (a short base) takes one int product of two KS1 packs.  A
+transform product reads the bytes of each factor's KS1 pack straight as
+16-bit digits (8-bit ones where Percival's error bound for
+floating-point FFT products, Math. Comp. 72, 2003, does not keep 16-bit
+ones below _ROUNDING_LIMIT), convolves them by numpy.fft.rfft/irfft,
+rounds into a float array, and carries on words of two digits, half as
+many as the digits, whose bytes are the product's KS1 pack; the rows of
+a lockstep step share one call of each numpy pass.  A square takes one
+forward transform, the spectra of mu and f are kept per f, and q*f, of
+which the remainder reads only the low d coefficients, is taken mod
+x^L - 1 (L > d, even) at about half the length, c being folded mod
+x^L - 1 to match.  So a ring squaring takes 4
 transforms of the full length and 2 of the half one, and a ring multiply
 one more of the full length, where 9 of the full length would do without
-these.  A guard checks every rounded digit: when one lies further than
-_ROUNDING_LIMIT from its computed value, that row's product alone is
-recomputed by int.__mul__, so no rounding error reaches a result.
-numpy is imported on the first reducer of the transform tier, never by
-importing this module.  The tiers agree
-coefficient for coefficient: _KRONECKER_MIN and _TRANSFORM_MIN are
-tuning constants, measured break-evens, and _ROUNDING_LIMIT is an error
-budget.
+these.  A guard, in floating point before any carry, checks every
+rounded digit: when one lies further than _ROUNDING_LIMIT from its
+computed value, that row's product alone is recomputed by int.__mul__,
+so no rounding error reaches a result.  numpy is imported on the first
+reducer of the transform tier, never by importing this module.  The
+tiers agree coefficient for coefficient: _KRONECKER_MIN and
+_TRANSFORM_MIN are tuning constants, read from measured break-evens, and
+_ROUNDING_LIMIT is an error budget.
 
 Euclid (poly_is_unit_mod, and the gcd-only _euclid) keeps each remainder
 and each Bezout multiplier as one pack, slot i holding coefficient i: a
@@ -94,7 +102,7 @@ __all__ = [
 ]
 
 _KRONECKER_MIN = 16  # shorter length below which schoolbook wins
-_TRANSFORM_MIN = 15000  # bits of the shorter pack from which a transform wins
+_TRANSFORM_MIN = 16000  # bits of the shorter pack from which a transform wins
 _ROUNDING_LIMIT = 0.25  # the rounding error a transform product may show
 
 
@@ -291,14 +299,6 @@ def _pair(even: int, odd: int, width: int) -> tuple[int, int]:
     return even + odd, even - odd
 
 
-def _drop(even: int, odd: int, s: int, bits: int) -> tuple[int, int]:
-    """The packs of c div x^s from the packs of c, in slots of bits bits:
-    for odd s, c[s:] starts with an odd coefficient."""
-    if s % 2:
-        even, odd = odd, even
-    return even >> bits * (s // 2), odd >> bits * ((s + 1) // 2)
-
-
 def _times(pa: tuple[int, int], pb: tuple[int, int]) -> tuple[int, int]:
     # the same object on both sides takes CPython's squaring path
     if pa is pb:
@@ -377,14 +377,14 @@ def _smooth(n: int) -> int:
 
 
 class _Transform:
-    """Products of rows of packed elements by floating-point FFT convolution.
+    """Products of rows of KS1 packs by floating-point FFT convolution.
 
-    An element of n coefficients, in slots of W bytes, is read as its KS1
-    pack, the n slots in order, cut into digits of w = 16 or 8 bits; the
-    product's digits are the rounded cyclic convolution of the factors'
-    digits, computed by numpy.fft.rfft/irfft along the rows of a 2-D
-    batch, so the rows of one ladder step share one call of each.  Two
-    lengths serve:
+    A packed element of n coefficients is its KS1 pack, slot i holding
+    coefficient i in W bytes, and its bytes are read straight as digits of
+    w = 16 or 8 bits; the product's digits are the rounded cyclic
+    convolution of the factors' digits, computed by numpy.fft.rfft/irfft
+    along the rows of a 2-D batch, so the rows of one ladder step share one
+    call of each.  Two lengths serve:
 
     - ``size``, 5-smooth and at least the sum of two factors' digit counts
       for factors of at most d coefficients, so no product wraps;
@@ -394,10 +394,18 @@ class _Transform:
       integer one mod 2^(8 W L) - 1.  Its length is about half of size,
       and its factors are q and f with its leading 1.
 
-    Carry passes bring the rounded digits below 2^w, the carry out of the
-    top digit going round to the bottom one (it is 0 for a product that
-    does not wrap); the digits' bytes are the product's KS1 pack, whose
-    slots are read out as the packs of its even and odd coefficients.
+    The digits are rounded into a float array, and the guard compares each
+    with its computed value.  Two digits then make one word of 2w bits, an
+    odd count being padded with one zero digit, and carry passes bring
+    every word below 2^(2w), each moving what lies above 2w bits one word
+    up, the top word's into one spare word that is never cut: half as many
+    words as digits, and two passes where digits took four at w = 16.  A
+    product that does not wrap is below 2^(w count), so its spare word
+    stays 0 and its words' bytes are its KS1 pack.  A wrapped product is
+    the integer of its words and its spare word folded mod
+    2^(w wrap_size) - 1 by one shift and at most one subtraction, exact
+    wherever the wrap falls in a word, with 0 kept as 0: never the
+    all-ones residue, whose slots exceed every slot bound of _Reducer.
 
     The error bound (Percival, Math. Comp. 72, 2003, for a transform of
     length 2^k): |computed - exact| < |x| |y| ((1 + e)^(3k) (1 + e sqrt 5)^(3k+1)
@@ -412,15 +420,24 @@ class _Transform:
     of numpy's transform, which the radix-2 proof does not cover.  product
     returns None for a row whose rounding shows an error above the same
     limit, and _Reducer._product recomputes that row alone by int.__mul__.
+
+    The words fit int64: a rounded digit is at most |x| |y| <= (d + 1) t
+    (2^w - 1)^2, which fitting's rule keeps below 1 / (4 growth), growth
+    being the bound's factor and above (6 + 3 sqrt 5) k 2^-53 > 12 k 2^-53;
+    so a digit is below 2^51 / (12 k), below 2^44 from k = 11 (every pack
+    of the tier at _TRANSFORM_MIN > 8192 bits has size > 1024) and below
+    2^47 for every k >= 2.  A word, at most (2^w + 1) times a digit, is
+    then below 2^61 in the tier and below 2^63 at any size.
     """
 
-    __slots__ = ("np", "width", "digit", "size", "wrap", "wrap_size")
+    __slots__ = ("np", "width", "digit", "size", "wrap", "wrap_size", "wrap_mask")
 
     def __init__(self, width: int, digit: int, size: int, wrap: int):
         import numpy  # on the first reducer of the tier only
 
         self.np, self.width, self.digit, self.size = numpy, width, digit, size
         self.wrap, self.wrap_size = wrap, 8 * width * wrap // digit
+        self.wrap_mask = (1 << 8 * width * wrap) - 1
 
     @classmethod
     def fitting(cls, m: int, d: int, width: int) -> "_Transform | None":
@@ -437,58 +454,59 @@ class _Transform:
                 return cls(width, digit, size, 2 * _smooth(-(-(d + 1) // 2)))
         return None
 
-    def spectrum(self, rows: Sequence[tuple[int, int, int]], wrapped: bool, role: str):
-        """The rfft of the digits of each packed element (even, odd, n) of
-        rows, one row of the result each, at wrap_size when wrapped, in
-        the scratch array of role."""
+    def spectrum(self, rows: Sequence[tuple[int, int]], wrapped: bool, role: str):
+        """The rfft of the digits of each KS1 pack (v, n) of rows, one row
+        of the result each, at wrap_size when wrapped, in the scratch array
+        of role."""
         np, width, step = self.np, self.width, self.digit // 8
         size = self.wrap_size if wrapped else self.size
-        count = -(-max(n for _, _, n in rows) * width // step)
-        raw = self._scratch("bytes", len(rows), size * step, np.uint8)[:, :count * step]
-        raw.fill(0)
-        for line, (even, odd, n) in zip(raw, rows):
-            slots = line[:n * width].reshape(n, width)
-            slots[0::2] = np.frombuffer(even.to_bytes((n + 1) // 2 * width, "little"),
-                                        np.uint8).reshape(-1, width)
-            slots[1::2] = np.frombuffer(odd.to_bytes(n // 2 * width, "little"),
-                                        np.uint8).reshape(-1, width)
         digits = self._scratch("real", len(rows), size, np.float64)
-        digits[:, count:] = 0
-        np.copyto(digits[:, :count], raw.view(f"<u{step}"))
+        for line, (v, n) in zip(digits, rows):
+            count = -(-n * width // step)
+            line[:count] = np.frombuffer(v.to_bytes(count * step, "little"), f"<u{step}")
+            line[count:] = 0
         return np.fft.rfft(digits, size, out=self._scratch(role, len(rows), size // 2 + 1, np.complex128))
 
     def product(self, sa, sb, ns: Sequence[int], wrapped: bool = False) -> list:
-        """The packs (even, odd) of each row's product, of ns[i]
-        coefficients, from the rows of the spectra sa and sb (sb may be one
-        row for all); when wrapped, of the product mod x^wrap - 1, with
-        ns[i] = wrap.  None for a row where a rounded digit lies further
-        than _ROUNDING_LIMIT from its computed value.  sa is overwritten."""
+        """The KS1 pack of each row's product, of ns[i] coefficients, from
+        the rows of the spectra sa and sb (sb may be one row for all); when
+        wrapped, of the product mod x^wrap - 1, with ns[i] = wrap.  None for
+        a row where a rounded digit lies further than _ROUNDING_LIMIT from
+        its computed value.  sa is overwritten."""
         np, digit, width = self.np, self.digit, self.width
         size, k = self.wrap_size if wrapped else self.size, len(ns)
         # a product that does not wrap is below 2^(8 width n), so its
         # digits from ceil(8 width n / w) on are 0
         count = size if wrapped else -(-8 * max(ns) * width // digit)
+        half = (count + 1) // 2
         exact = np.fft.irfft(np.multiply(sa, sb, out=sa), size,
                              out=self._scratch("real", k, size, np.float64))[:, :count]
-        digits = self._scratch("int", k, size, np.int64)[:, :count]
-        np.rint(exact, out=digits, casting="unsafe")
-        tripped = np.abs(np.subtract(exact, digits, out=exact), out=exact).max(axis=1) > _ROUNDING_LIMIT
-        digits[tripped] = 0  # nonnegative digits, so the carry passes end
-        # carry: each pass moves what lies above w bits one digit up, round
-        # from the top digit to the bottom one; without a wrap the sum is
-        # below 2^(w count), so nothing goes round
-        high = self._scratch("high", k, size, np.int64)[:, :count]
-        while np.right_shift(digits, digit, out=high).any():
-            digits &= (1 << digit) - 1
-            digits[:, 1:] += high[:, :-1]
-            digits[:, 0] += high[:, -1]
-        raw = self._scratch("bytes", k, size * digit // 8, np.uint8)[:, :count * digit // 8]
-        np.copyto(raw.view(f"<u{digit // 8}"), digits, casting="unsafe")
-        out = []
-        for line, n, bad in zip(raw, ns, tripped):
-            slots = line[:n * width].reshape(n, width)
-            out.append(None if bad else (int.from_bytes(slots[0::2].tobytes(), "little"),
-                                         int.from_bytes(slots[1::2].tobytes(), "little")))
+        rounded = self._scratch("rounded", k, 2 * half, np.float64)
+        rounded[:, count:] = 0
+        np.rint(exact, out=rounded[:, :count])
+        tripped = np.abs(np.subtract(exact, rounded[:, :count], out=exact), out=exact).max(axis=1) > _ROUNDING_LIMIT
+        rounded[tripped] = 0  # nonnegative digits, so the carry passes end
+        words = self._scratch("words", k, half + 1, np.int64)
+        body = words[:, :half]
+        np.left_shift(rounded[:, 1::2], digit, out=body, dtype=np.int64, casting="unsafe")
+        np.add(body, rounded[:, 0::2], out=body, dtype=np.int64, casting="unsafe")
+        words[:, half] = 0
+        high = self._scratch("high", k, half, np.int64)
+        while np.right_shift(body, 2 * digit, out=high).any():
+            body &= (1 << 2 * digit) - 1
+            words[:, 1:] += high
+        raw = self._scratch("packed", k, half, np.dtype(f"<u{digit // 4}"))
+        np.copyto(raw, body, casting="unsafe")
+        out, mask, shift = [], self.wrap_mask, 8 * width * self.wrap
+        for line, n, bad, spare in zip(raw.view(np.uint8), ns, tripped, words[:, half].tolist()):
+            if bad:
+                out.append(None)
+            elif wrapped:
+                v = int.from_bytes(line, "little") + (spare << 2 * digit * half)
+                v = (v & mask) + (v >> shift)
+                out.append(v - mask if v >= mask else v)
+            else:
+                out.append(int.from_bytes(line[:n * width], "little"))
         return out
 
     def _scratch(self, role: str, rows: int, length: int, dtype):
@@ -507,15 +525,126 @@ class _Transform:
 _SCRATCH = threading.local()
 
 
+class _KS2:
+    """The int tier's packed elements (even, odd, n): the KS2 packs of the
+    even and of the odd coefficients of an element of n coefficients, in
+    slots of B = 8 W bits.  A product is two int products of the KS2
+    points, squares for a square; the pack-level steps of _Reducer's
+    quotient and remainder act on both packs."""
+
+    __slots__ = ("m", "d", "width", "bits", "slots", "bias", "masks")
+
+    def __init__(self, m: int, d: int, width: int):
+        bits = 8 * width
+        self.m, self.d, self.width, self.bits = m, d, width, bits
+        self.slots = _Slots(m, width, d)
+        bias = d * m * m
+        self.bias = _pack([bias] * ((d + 1) // 2), width), _pack([bias] * (d // 2), width)
+        self.masks = (1 << bits * ((d + 1) // 2)) - 1, (1 << bits * (d // 2)) - 1
+
+    def pack(self, a: Sequence[int]) -> tuple[int, int, int]:
+        return _pack(a[0::2], self.width), _pack(a[1::2], self.width), len(a)
+
+    def unpack(self, a: tuple[int, int, int]) -> list[int]:
+        return _unpack_halves(a[0], a[1], self.width, a[2], self.m)
+
+    def points(self, a: tuple[int, int, int]) -> tuple[int, int]:
+        return _pair(a[0], a[1], self.width)
+
+    def times(self, x, y, kept) -> tuple[int, int, int]:
+        # x*y, or x times the kept factor whose points kept carries
+        width = self.width
+        px = _pair(x[0], x[1], width)
+        hp, hm = _times(px, kept[1] if kept is not None else px if y is x
+                        else _pair(y[0], y[1], width))
+        return (hp + hm) >> 1, (hp - hm) >> (4 * width + 1), x[2] + y[2] - 1
+
+    def top(self, c, s: int, n: int) -> tuple[int, int, int]:
+        # c div x^s, of n coefficients, slots reduced: for odd s, c[s:]
+        # starts with an odd coefficient
+        even, odd, bits = c[0], c[1], self.bits
+        if s % 2:
+            even, odd = odd, even
+        return self.reduce(even >> bits * (s // 2), odd >> bits * ((s + 1) // 2), n)
+
+    def remainder(self, c, qf) -> tuple[int, int, int]:
+        # (c mod x^d) + BIAS - (q*f mod x^d), slots reduced
+        (mask_e, mask_o), (bias_e, bias_o) = self.masks, self.bias
+        return self.reduce((c[0] & mask_e) + bias_e - (qf[0] & mask_e),
+                           (c[1] & mask_o) + bias_o - (qf[1] & mask_o), self.d)
+
+    def reduce(self, even: int, odd: int, n: int) -> tuple[int, int, int]:
+        """Every slot of the packs of n coefficients, each below 2^B,
+        reduced into [0, m), by _Slots on the two packs laid end to end."""
+        split = self.bits * ((n + 1) // 2)
+        y = self.slots(even | odd << split)
+        return y & (1 << split) - 1, y >> split, n
+
+
+class _KS1:
+    """The transform tier's packed elements (v, n): the KS1 pack v of an
+    element of n coefficients, slot i holding coefficient i in B = 8 W bits.
+    A product is one int product, a square for a square, or a row of a
+    _Transform product.  As c - q*f = r has degree below d < L = wrap, the
+    remainder folds c and q*f mod x^L - 1 before it reads their low d
+    slots: c has fewer than 2L slots, so its pack folds by one shift (a
+    no-op on a wrapped transform product)."""
+
+    __slots__ = ("m", "d", "width", "bits", "slots", "bias", "mask", "shift", "low")
+
+    def __init__(self, m: int, d: int, width: int, wrap: int):
+        bits = 8 * width
+        self.m, self.d, self.width, self.bits = m, d, width, bits
+        self.slots = _Slots(m, width, d)
+        self.bias = _pack([d * m * m] * d, width)
+        self.mask = (1 << bits * d) - 1
+        self.shift = bits * wrap
+        self.low = (1 << self.shift) - 1
+
+    def pack(self, a: Sequence[int]) -> tuple[int, int]:
+        return _pack(a, self.width), len(a)
+
+    def unpack(self, a: tuple[int, int]) -> list[int]:
+        return _unpack(a[0], self.width, a[1], self.m)
+
+    def points(self, a: tuple[int, int]) -> None:
+        return None
+
+    def times(self, x, y, kept) -> tuple[int, int]:
+        # the same object on both sides takes CPython's squaring path
+        return x[0] * x[0] if x is y else x[0] * y[0], x[1] + y[1] - 1
+
+    def top(self, c, s: int, n: int) -> tuple[int, int]:
+        # c div x^s, of n coefficients, slots reduced
+        return self.slots(c[0] >> self.bits * s), n
+
+    def remainder(self, c, qf) -> tuple[int, int]:
+        # c and q*f mod x^L - 1, then (c mod x^d) + BIAS - (q*f mod x^d),
+        # slots reduced
+        shift, low, mask = self.shift, self.low, self.mask
+        v, t = c[0], qf[0]
+        v, t = (v & low) + (v >> shift), (t & low) + (t >> shift)
+        return self.slots((v & mask) + self.bias - (t & mask)), self.d
+
+    def reduce(self, v: int, n: int) -> tuple[int, int]:
+        # every slot of the pack of n coefficients, each below 2^B,
+        # reduced into [0, m)
+        return self.slots(v), n
+
+
 class _Reducer:
     """Ring multiplication modulo one fixed monic f of degree d.
 
     A product with an operand shorter than _KRONECKER_MIN is schoolbook
     and divided by schoolbook, and so is every product of a ladder mod an f
     of degree below _KRONECKER_MIN.  Every other product works on packed
-    elements: an element of n <= d coefficients in [0, m) is the pair of
-    KS2 packs of its even and its odd coefficients, in slots of B = 8W bits
-    with W = ceil((2 bits(m) + bits(d) + 2) / 8), so 2^B > 4 d m^2.  The
+    elements in slots of B = 8W bits with W = ceil((2 bits(m) + bits(d) +
+    2) / 8), so 2^B > 4 d m^2.  The form of a packed element is chosen once
+    per f, by the size rule of the tiers: when d B >= _TRANSFORM_MIN and
+    _Transform.fitting admits a digit, the reducer has a _Transform and its
+    elements are KS1 packs (_KS1), which the transform reads and writes
+    directly; otherwise they are pairs of KS2 packs (_KS2), whose two
+    half-size int products win below the transform's break-even.  The
     Barrett quotient mu = x^(2d-2) div f (Newton's reciprocal of rev(f)
     mod x^(d-1), reversed once) and f itself are packed once per f, on the
     first packed product.  For c = a*b = q*f + r of n coefficients, d < n:
@@ -525,29 +654,30 @@ class _Reducer:
     - r = (c mod x^d) + BIAS - (q*f mod x^d), slots reduced; in the
       transform tier c and q*f are first taken mod x^L - 1 (L = wrap of
       the _Transform, even, L > d), as c - q*f = r has degree below d:
-      the packs of c fold by one shift, and q*f is a wrapped transform
-      product of about half the length.
+      c folds by one shift, and q*f is a wrapped transform product of
+      about half the length.
 
     Every slot of c, of (c div x^d)*mu and of q*f (wrapped or not: as
     L > d, a slot of q*f mod x^L - 1 sums at most n - d products) is at
     most d(m-1)^2, a slot of c mod x^L - 1 at most 2d(m-1)^2, and every
     BIAS slot is d m^2, a multiple of m, so each slot of c + BIAS and of r
     lies in [0, 3 d m^2), and 3 d m^2 < 2^B: no borrow crosses a slot, and
-    every slot handed to _reduce_slots is below 2^B.  _reduce_slots lays
-    the two packs end to end and reduces all their slots at once with
-    _Slots, the slot-parallel Barrett step that Euclid shares.  The ladder keeps its
+    every slot handed to _Slots, the slot-parallel Barrett step that Euclid
+    shares, is below 2^B.  These steps are written once, here; the form
+    supplies the pack-level ones (pack, unpack, c div x^s, the low d slots
+    with BIAS, the fold, and the slot reduction).  The ladder keeps its
     elements packed from the first product to the last.
 
     _mul multiplies rows of elements, one row per base of a ladder run in
     lockstep, and each of the three products is _product's over all rows:
-    two int products of KS2 points per row, or, for the rows whose shorter
-    factor's pack has at least _TRANSFORM_MIN bits when the reducer has a
-    _Transform (from _Transform.fitting, once per f), one batched
-    transform product, which returns the same packs.  A ring squaring then
+    the form's int product per row, or, when the reducer has a _Transform,
+    one batched transform product for the rows whose shorter factor's pack
+    has at least _TRANSFORM_MIN bits (a short base or an early rung below
+    it takes one int product of the two KS1 packs).  A ring squaring then
     takes 4 transforms of the full length and 2 of the wrapped one per
-    row, a ring multiply one more of the full length.  The _Slots
-    reductions stay per row.  mu and f enter every ring multiplication, so
-    their KS2 points and spectra are computed once, by _kept.
+    row, a ring multiply one more of the full length.  The slot reductions
+    stay per row.  mu and f enter every ring multiplication, so their KS2
+    points or spectra are computed once, by _kept.
     """
 
     def __init__(self, f: ModPoly):
@@ -561,26 +691,19 @@ class _Reducer:
         if self._width is None:
             m, d = self.m, self.d
             width = (2 * m.bit_length() + d.bit_length() + 2 + 7) // 8
-            bits = 8 * width
             self._width = width
-            self._fft = _Transform.fitting(m, d, width) if d * bits >= _TRANSFORM_MIN else None
+            self._fft = _Transform.fitting(m, d, width) if 8 * width * d >= _TRANSFORM_MIN else None
+            self._form = _KS2(m, d, width) if self._fft is None else _KS1(m, d, width, self._fft.wrap)
             self._mu = self._kept(self._reciprocal(d - 1)[::-1])
             self._f_kept = self._kept(self.f, wrapped=True)
-            bias = d * m * m
-            self._bias = (_pack([bias] * ((d + 1) // 2), width),
-                          _pack([bias] * (d // 2), width))
-            self._masks = ((1 << bits * ((d + 1) // 2)) - 1,
-                           (1 << bits * (d // 2)) - 1)
-            self._slots = _Slots(m, width, d)
         return self._width
 
     def _kept(self, coeffs: list[int], wrapped: bool = False) -> tuple:
         """A factor of every ring multiplication (mu, f): its packed
-        element, its KS2 points, whether its transform products wrap and,
-        in the transform tier, its spectrum."""
-        width = self._width
-        a = _pack(coeffs[0::2], width), _pack(coeffs[1::2], width), len(coeffs)
-        return (a, _pair(a[0], a[1], width), wrapped,
+        element, its KS2 points (int tier), whether its transform products
+        wrap and, in the transform tier, its spectrum."""
+        a = self._form.pack(coeffs)
+        return (a, self._form.points(a), wrapped,
                 None if self._fft is None else self._fft.spectrum([a], wrapped, "a").copy())
 
     def _reciprocal(self, k: int) -> list[int]:
@@ -630,38 +753,34 @@ class _Reducer:
                     out[i] = self._unpacked(y)
         return out
 
-    # -- packed elements: (even pack, odd pack, number of coefficients) -----
-    def _packed(self, a: Sequence[int]) -> tuple[int, int, int]:
-        width = self._setup()
-        return _pack(a[0::2], width), _pack(a[1::2], width), len(a)
+    # -- packed elements, in the form's layout, n = element[-1] coefficients
+    def _packed(self, a: Sequence[int]) -> tuple:
+        self._setup()
+        return self._form.pack(a)
 
-    def _unpacked(self, a: tuple[int, int, int]) -> list[int]:
-        return _unpack_halves(a[0], a[1], self._width, a[2], self.m)
+    def _unpacked(self, a: tuple) -> list[int]:
+        return self._form.unpack(a)
 
-    def _mul(self, xs: Sequence[tuple[int, int, int]], ys: Sequence) -> list[tuple[int, int, int]]:
+    def _mul(self, xs: Sequence[tuple], ys: Sequence) -> list[tuple]:
         # x*y mod f for each row x of xs and y of ys, packed; xs is ys for
         # squares
         return self._remainder(self._product(xs, ys))
 
-    def _product(self, xs: Sequence[tuple[int, int, int]], ys: Sequence | None = None,
-                 kept: tuple | None = None) -> list[tuple[int, int, int]]:
+    def _product(self, xs: Sequence[tuple], ys: Sequence | None = None,
+                 kept: tuple | None = None) -> list[tuple]:
         """The packed x*y for each row x of xs and y of ys, ys is xs for
         squares, or x times the factor kept by _kept, mod x^L - 1 when that
         one wraps.  The rows whose shorter factor's pack has at least
         _TRANSFORM_MIN bits take one batched transform product when the
         reducer has a _Transform; every other row, and every row whose
-        guard trips, two int products of KS2 points."""
-        width = self._width
+        guard trips, the form's int product."""
         if kept is not None:
             ys = (kept[0],) * len(xs)
         out = [None] * len(xs) if self._fft is None else self._transformed(xs, ys, kept)
+        times = self._form.times
         for i, x in enumerate(xs):
             if out[i] is None:
-                y = ys[i]
-                px = _pair(x[0], x[1], width)
-                hp, hm = _times(px, kept[1] if kept is not None else px if y is x
-                                else _pair(y[0], y[1], width))
-                out[i] = (hp + hm) >> 1, (hp - hm) >> (4 * width + 1), x[2] + y[2] - 1
+                out[i] = times(x, ys[i], kept)
         return out
 
     def _transformed(self, xs, ys, kept) -> list:
@@ -669,65 +788,41 @@ class _Reducer:
         # for the others and for those whose guard trips
         fft, bits = self._fft, 8 * self._width
         out = [None] * len(xs)
-        big = [i for i, (x, y) in enumerate(zip(xs, ys)) if bits * min(x[2], y[2]) >= _TRANSFORM_MIN]
+        big = [i for i, (x, y) in enumerate(zip(xs, ys)) if bits * min(x[1], y[1]) >= _TRANSFORM_MIN]
         if big:
             wrapped = kept is not None and kept[2]
             sa = fft.spectrum([xs[i] for i in big], wrapped, "a")
             sb = (kept[3] if kept is not None else sa if xs is ys
                   else fft.spectrum([ys[i] for i in big], False, "b"))
-            ns = [fft.wrap if wrapped else xs[i][2] + ys[i][2] - 1 for i in big]
-            for i, n, p in zip(big, ns, fft.product(sa, sb, ns, wrapped)):
-                if p is not None:
-                    out[i] = (*p, n)
+            ns = [fft.wrap if wrapped else xs[i][1] + ys[i][1] - 1 for i in big]
+            for i, n, v in zip(big, ns, fft.product(sa, sb, ns, wrapped)):
+                if v is not None:
+                    out[i] = v, n
         return out
 
-    def _remainder(self, cs: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-        # c mod f for each row c = (even, odd, n) of packs, n < 2d; see the
-        # class docstring.  A row with n <= d has only its slots reduced.
-        d, fft, reduce = self.d, self._fft, self._reduce_slots
+    def _remainder(self, cs: list[tuple]) -> list[tuple]:
+        # c mod f for each packed row c, n < 2d; see the class docstring.
+        # A row with n <= d has only its slots reduced.
+        d, form = self.d, self._form
         qf = iter(self._product(self._quotient(cs), kept=self._f_kept))
-        (mask_e, mask_o), (bias_e, bias_o) = self._masks, self._bias
-        if fft is not None:
-            shift = 4 * self._width * fft.wrap
-            low = (1 << shift) - 1
         out = []
-        for even, odd, n in cs:
-            if n > d:
-                te, to, _ = next(qf)
-                if fft is not None:
-                    # c and q*f mod x^L - 1: c has fewer than 2L
-                    # coefficients, and L is even, so each pack folds by
-                    # one shift (a no-op on a wrapped transform product)
-                    even, odd = (even & low) + (even >> shift), (odd & low) + (odd >> shift)
-                    te, to = (te & low) + (te >> shift), (to & low) + (to >> shift)
-                even, odd, n = ((even & mask_e) + bias_e - (te & mask_e),
-                                (odd & mask_o) + bias_o - (to & mask_o), d)
-            even, odd = reduce(even, odd, n)
-            out.append((even, odd, n))
+        for c in cs:
+            out.append(form.remainder(c, next(qf)) if c[-1] > d else form.reduce(*c))
         return out
 
-    def _quotient(self, cs: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-        """The packed elements c div f, slots reduced, for each row c =
-        (even, odd, n) of packs with d < n < 2d, the others skipped: the
-        top n - d coefficients of (c div x^d)*mu."""
-        d, bits, reduce = self.d, 8 * self._width, self._reduce_slots
+    def _quotient(self, cs: list[tuple]) -> list[tuple]:
+        """The packed elements c div f, slots reduced, for each packed row c
+        of n coefficients with d < n < 2d, the others skipped: the top
+        n - d coefficients of (c div x^d)*mu."""
+        d, top = self.d, self._form.top
         tops = []
-        for even, odd, n in cs:
-            if n > d:
-                even, odd = reduce(*_drop(even, odd, d, bits), n - d)
-                tops.append((even, odd, n - d))
+        for c in cs:
+            if c[-1] > d:
+                tops.append(top(c, d, c[-1] - d))
         out = []
-        for (even, odd, _), (_, _, n) in zip(self._product(tops, kept=self._mu), tops):
-            even, odd = reduce(*_drop(even, odd, d - 2, bits), n)
-            out.append((even, odd, n))
+        for p, t in zip(self._product(tops, kept=self._mu), tops):
+            out.append(top(p, d - 2, t[-1]))
         return out
-
-    def _reduce_slots(self, even: int, odd: int, n: int) -> tuple[int, int]:
-        """Every slot of the packs of n coefficients, each below 2^B,
-        reduced into [0, m), by _Slots on the packs laid end to end."""
-        split = 8 * self._width * ((n + 1) // 2)
-        y = self._slots(even | odd << split)
-        return y & (1 << split) - 1, y >> split
 
 
 @functools.lru_cache(maxsize=32)

@@ -24,7 +24,10 @@ from abprime.instrument import binary_method_mults, window_mults, window_width
 from abprime import polyring
 from abprime.polyring import (
     _KRONECKER_MIN,
+    _ROUNDING_LIMIT,
     _TRANSFORM_MIN,
+    _KS1,
+    _KS2,
     _Reducer,
     _Transform,
     _divmod_schoolbook,
@@ -34,6 +37,7 @@ from abprime.polyring import (
     _mul_schoolbook,
     _pack,
     _reducer_for,
+    _unpack,
 )
 
 
@@ -407,9 +411,19 @@ def test_short_base_pow_keeps_binary_method():
 _TIER_MODULI = (2**61 - 1, 2**89 - 1, 2**127 - 1, 2**64 + 1, 3 * (2**89 - 1), 341 * (2**107 - 1))
 
 
+def _width(m, d):
+    # the slot width W, in bytes, of a reducer mod an f of degree d
+    return (2 * m.bit_length() + d.bit_length() + 2 + 7) // 8
+
+
 def _pack_bits(m, d):
     # the bits of the pack of d slots that a reducer mod an f of degree d uses
-    return 8 * d * ((2 * m.bit_length() + d.bit_length() + 2 + 7) // 8)
+    return 8 * d * _width(m, d)
+
+
+def _edge(m):
+    # the least deg f whose pack reaches _TRANSFORM_MIN
+    return next(d for d in itertools.count(1) if _pack_bits(m, d) >= _TRANSFORM_MIN)
 
 
 @st.composite
@@ -419,7 +433,7 @@ def _tier_operands(draw):
     # for window widths 1 to 3
     rnd = random.Random(draw(st.integers(0, 2**64)))
     m = rnd.choice(_TIER_MODULI + (rnd.randrange(2**60, 2**200),))
-    edge = next(d for d in itertools.count(1) if _pack_bits(m, d) >= _TRANSFORM_MIN)
+    edge = _edge(m)
     d = rnd.randint(2 * edge // 3, 3 * edge // 2)
     f = _stress_vector(rnd, m, d) + [1]
     a = _stress_vector(rnd, m, d - 1) + [rnd.randrange(1, m)]
@@ -440,14 +454,24 @@ def test_transform_tier_matches_schoolbook_property(operands):
     assert tally == calls == window_mults(e, window_width(e))
     assert poly_mul_mod(ModPoly(m, a), ModPoly(m, b), fp) == \
         ModPoly(m, _schoolbook_remainder(_mul_schoolbook(a, b, m), f, m))
-    assert (_reducer_for(fp)._fft is not None) == (_pack_bits(m, len(f) - 1) >= _TRANSFORM_MIN)
+    reducer = _reducer_for(fp)
+    assert (reducer._fft is not None) == (_pack_bits(m, len(f) - 1) >= _TRANSFORM_MIN) \
+        == isinstance(reducer._form, _KS1)
 
 
 def _digit(m, d):
     # the digit width of the transform for an f of degree d mod m
-    reducer = _Reducer(ModPoly(m, [1] * (d + 1)))
-    reducer._setup()
-    return reducer._fft.digit
+    return _Transform.fitting(m, d, _width(m, d)).digit
+
+
+def _longest_16_bit(m):
+    # the largest deg f whose transform keeps 16-bit digits
+    lo, hi = _edge(m), 4000
+    assert _digit(m, lo) == 16 and _digit(m, hi) == 8
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _digit(m, mid) == 16 else (lo, mid)
+    return lo
 
 
 def _spied_products(monkeypatch):
@@ -474,13 +498,9 @@ def test_worst_case_operands_at_the_longest_16_bit_length(m, monkeypatch):
     # which takes 8-bit ones, every transform product, the wrapped q*f of
     # each ring product included, passes the guard and the ring products
     # are schoolbook's
-    lo, hi = _TRANSFORM_MIN // _pack_bits(m, 1) + 1, 4000
-    assert _digit(m, lo) == 16 and _digit(m, hi) == 8
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if _digit(m, mid) == 16 else (lo, mid)
+    lo = _longest_16_bit(m)
     outcomes, calls = _spied_products(monkeypatch)
-    for d in (lo, hi):
+    for d in (lo, lo + 1):
         f = [m - 1] * d + [1]
         a = [m - 1] * d
         expected = ModPoly(m, _schoolbook_remainder(_mul_schoolbook(a, a, m), f, m))
@@ -500,6 +520,7 @@ def test_tripped_guard_falls_back_to_int_products(monkeypatch):
     b = [rng.randrange(m) for _ in range(d)]
     fp = ModPoly(m, f)
     _reducer_for(fp)._setup()
+    assert isinstance(_reducer_for(fp)._form, _KS1)
     outcomes, _ = _spied_products(monkeypatch)
     monkeypatch.setattr(polyring, "_ROUNDING_LIMIT", 0.0)
     assert poly_mul_mod(ModPoly(m, a), ModPoly(m, b), fp) == \
@@ -518,7 +539,7 @@ def _lockstep_operands(draw):
     if rnd.random() < 0.3:
         d = rnd.randint(_KRONECKER_MIN // 2, 2 * _KRONECKER_MIN)
     else:
-        edge = next(d for d in itertools.count(1) if _pack_bits(m, d) >= _TRANSFORM_MIN)
+        edge = _edge(m)
         d = rnd.randint(2 * edge // 3, 3 * edge // 2)
     f = _stress_vector(rnd, m, d) + [1]
 
@@ -565,41 +586,105 @@ def test_lockstep_powers_match_schoolbook_property(operands):
         assert reducer._width is None and calls == [0] and not rows
         return
     assert calls == [sum(window_mults(e, w) for w in set(widths))]
-    assert (reducer._fft is not None) == (_pack_bits(m, d) >= _TRANSFORM_MIN)
+    assert (reducer._fft is not None) == (_pack_bits(m, d) >= _TRANSFORM_MIN) \
+        == isinstance(reducer._form, _KS1)
     assert all(r <= len(bases) for r in rows)
     if reducer._fft is not None and len(bases) == 2 and widths[0] == widths[1] \
             and len(bases[0]) == len(bases[1]) == d:
         assert rows and set(rows) == {2}
 
 
+def _convolution(x, y, size=None):
+    # the convolution of the digit vectors x and y, cyclic of length size
+    # when given, by one integer product with 64-bit spacing (every column
+    # sum here is below 2^64)
+    z = _pack(x, 8) * _pack(y, 8)
+    out = _unpack(z, 8, len(x) + len(y) - 1, 2**64)
+    if size is not None:
+        out = [sum(out[i::size]) for i in range(size)]
+    return out
+
+
+def _digits(v, digit, count):
+    return [(v >> s) & (2**digit - 1) for s in range(0, count * digit, digit)]
+
+
 def test_wrapped_product_carries_end_around():
     # q*f mod x^L - 1 with q of d - 1 coefficients, all m - 1, and f all
-    # m - 1 with its leading 1: the convolution's top digit exceeds 2^w, so
-    # its carry goes round to the bottom digit, and the packs are those of
-    # the integer product mod 2^(8 W L) - 1
+    # m - 1 with its leading 1: the convolution's top digit exceeds
+    # 2^(2w), so the top word carries out into the spare word, and the
+    # pack is that of the integer product mod 2^(8 W L) - 1; a product
+    # that is 0 mod 2^(8 W L) - 1 comes back as 0, never as the all-ones
+    # residue
     m, d = 2**61 - 1, 300
     reducer = _Reducer(ModPoly(m, [m - 1] * d + [1]))
     width = reducer._setup()
     fft, bits = reducer._fft, 8 * width
-    assert fft is not None and fft.wrap > d
-    q = [m - 1] * (d - 1)
-    packed = _pack(q[0::2], width), _pack(q[1::2], width), len(q)
-    [got] = fft.product(fft.spectrum([packed], True, "a"), reducer._f_kept[3], [fft.wrap], True)
-    # the top digit of the cyclic convolution of the digit vectors
-    digits = [(v >> s) & (2**fft.digit - 1) for v in (_pack(q, width), _pack(reducer.f, width))
-              for s in range(0, fft.wrap_size * fft.digit, fft.digit)]
-    x, y = digits[:fft.wrap_size], digits[fft.wrap_size:]
-    top = sum(x[i] * y[fft.wrap_size - 1 - i] for i in range(fft.wrap_size))
-    assert top >= 2**fft.digit
-    value = _pack(q, width) * _pack(reducer.f, width) % (2**(bits * fft.wrap) - 1)
-    slots = [(value >> bits * i) & (2**bits - 1) for i in range(fft.wrap)]
-    assert got == _packs(slots, width)
+    assert fft is not None and fft.wrap > d and isinstance(reducer._form, _KS1)
+    q = _pack([m - 1] * (d - 1), width)
+    [got] = fft.product(fft.spectrum([(q, d - 1)], True, "a"), reducer._f_kept[3], [fft.wrap], True)
+    size = fft.wrap_size
+    top = _convolution(_digits(q, fft.digit, size), _digits(_pack(reducer.f, width), fft.digit, size), size)[-1]
+    assert top >= 2**(2 * fft.digit)
+    assert got == q * _pack(reducer.f, width) % (2**(bits * fft.wrap) - 1)
+    assert fft.product(fft.spectrum([(0, 1)], True, "a"), reducer._f_kept[3], [fft.wrap], True) == [0]
+    ones = 2**(bits * fft.wrap) - 1
+    assert fft.product(fft.spectrum([(ones, fft.wrap)], True, "a"), fft.spectrum([(1, 1)], True, "b"),
+                       [fft.wrap], True) == [0]
+
+
+@pytest.mark.parametrize("n", [877, 879, 440], ids=["odd-count", "even-count", "short"])
+def test_odd_digit_counts_carry_exactly(n):
+    # with W = 17 bytes and 16-bit digits a product of n coefficients has
+    # ceil(17 n / 2) digits, odd for n = 1 mod 4, and at deg f = 440 the
+    # wrapped length 17 L / 2 is odd (L = 450): the zero digit that pads an
+    # odd count, and a wrap that falls inside a word, leave every product
+    # exact.  All operands are m - 1, so the top words carry the most.
+    m, d = 2**61 - 1, 440
+    reducer = _Reducer(ModPoly(m, [m - 1] * d + [1]))
+    width = reducer._setup()
+    fft = reducer._fft
+    assert (width, fft.digit, fft.wrap, fft.wrap_size % 2) == (17, 16, 450, 1)
+    assert -(-8 * width * n // fft.digit) % 2 == (n % 4 == 1)
+    x, y = [m - 1] * d, [m - 1] * (n - d + 1)
+    px, py = _pack(x, width), _pack(y, width)
+    sa = fft.spectrum([(px, len(x)), (py, len(y))], False, "a")
+    sb = fft.spectrum([(py, len(y)), (px, len(x))], False, "b")
+    assert fft.product(sa, sb, [n, n]) == [px * py] * 2
+    # wrapped: q of d - 1 coefficients times f, mod 2^(8 W L) - 1
+    q = _pack([m - 1] * (n - d), width)
+    [got] = fft.product(fft.spectrum([(q, n - d)], True, "a"), reducer._f_kept[3], [fft.wrap], True)
+    assert got == q * _pack(reducer.f, width) % (2**(8 * width * fft.wrap) - 1)
+
+
+@pytest.mark.parametrize("m", [2**61 - 1, 3 * (2**89 - 1)], ids=["2^61-1", "3(2^89-1)"])
+def test_words_fit_int64_at_the_longest_16_bit_length(m):
+    # all-(m - 1) operands at the longest deg f that keeps 16-bit digits:
+    # every digit of a square and of the wrapped q*f is at most
+    # (d + 1) t (2^w - 1)^2, below 2^44, so every word of two digits is
+    # below 2^61 and fits int64
+    d = _longest_16_bit(m)
+    width = _width(m, d)
+    fft = _Transform.fitting(m, d, width)
+    w = fft.digit
+    t = -(-(m.bit_length() + 8 * width % w) // w)
+    bound = (d + 1) * t * (2**w - 1) ** 2
+    assert bound < 2**44
+    a = _pack([m - 1] * d, width)
+    f = _pack([m - 1] * d + [1], width)
+    q = _pack([m - 1] * (d - 1), width)
+    full = -(-16 * width * d // w)
+    for digits in (_convolution(_digits(a, w, full // 2), _digits(a, w, full // 2)),
+                   _convolution(_digits(q, w, fft.wrap_size), _digits(f, w, fft.wrap_size), fft.wrap_size)):
+        digits += [0] * (len(digits) % 2)
+        assert max(digits) <= bound
+        assert max(lo + (hi << w) for lo, hi in zip(digits[0::2], digits[1::2])) < 2**61
 
 
 def test_tripped_row_alone_falls_back(monkeypatch):
     # a guard that trips on one row of a batch: that row comes back None
-    # from _Transform.product, is recomputed by int.__mul__ alone, and the
-    # other row of the batch is kept
+    # from _Transform.product, is recomputed by one int product of KS1
+    # packs alone, and the other row of the batch is kept
     rng = random.Random(23)
     m, d = 2**127 - 1, 100
     f = [rng.randrange(m) for _ in range(d)] + [1]
@@ -607,14 +692,14 @@ def test_tripped_row_alone_falls_back(monkeypatch):
     reducer = _Reducer(ModPoly(m, f))
     width = reducer._setup()
     fft = reducer._fft
-    rows = [(*_packs(v, width), d) for v in (a, b)]
+    rows = [(_pack(v, width), d) for v in (a, b)]
     spectra = fft.spectrum(rows, False, "a")
     spectra[0, 0] += fft.size / 2  # every digit of row 0 off by 1/2
     tripped, kept = fft.product(spectra, spectra, [2 * d - 1] * 2)
     assert tripped is None
     # the product's slots are the column sums of b*b, not reduced
-    assert kept == _packs([sum(b[i] * b[k - i] for i in range(max(0, k - d + 1), min(k, d - 1) + 1))
-                           for k in range(2 * d - 1)], width)
+    assert kept == _pack([sum(b[i] * b[k - i] for i in range(max(0, k - d + 1), min(k, d - 1) + 1))
+                          for k in range(2 * d - 1)], width)
     # through the ladder: every batched call trips on its first row only
     orig, int_products = _Transform.product, [0]
 
@@ -622,24 +707,84 @@ def test_tripped_row_alone_falls_back(monkeypatch):
         out = orig(self, *args)
         return [None] + out[1:] if len(out) == 2 else out
 
-    orig_times = polyring._times
+    orig_times = _KS1.times
 
-    def count_times(*args):
+    def count_times(self, *args):
         int_products[0] += 1
-        return orig_times(*args)
+        return orig_times(self, *args)
 
     fp = ModPoly(m, f)
     _reducer_for(fp)._setup()
     monkeypatch.setattr(_Transform, "product", trip_first)
-    monkeypatch.setattr(polyring, "_times", count_times)
+    monkeypatch.setattr(_KS1, "times", count_times)
     e = 1000
     got = poly_pow_mod_many([ModPoly(m, a), ModPoly(m, b)], e, fp)
     assert got == [ModPoly(m, _reference_pow(v, e, f, m)) for v in (a, b)]
     assert int_products[0] == 3 * window_mults(e, window_width(e))
 
 
-def _packs(values, width):
-    return _pack(values[0::2], width), _pack(values[1::2], width)
+@st.composite
+def _ks1_operands(draw):
+    # a reducer of the transform tier, whose elements are KS1 packs, with
+    # 16-bit digits (deg f from the break-even to the longest length that
+    # keeps them) or 8-bit ones (past it); two rows of unequal lengths, and
+    # a short base beside a full one
+    rnd = random.Random(draw(st.integers(0, 2**64)))
+    m = rnd.choice(_TIER_MODULI + (rnd.randrange(2**60, 2**200),))
+    longest = _longest_16_bit(m)
+    digit = rnd.choice((16, 8))
+    d = rnd.randint(_edge(m), min(longest, 2 * _edge(m))) if digit == 16 else rnd.randint(longest + 1, longest + 40)
+    f = _stress_vector(rnd, m, d) + [1]
+
+    def element(size):
+        return _stress_vector(rnd, m, size - 1) + [rnd.randrange(1, m)]
+
+    rows = [element(d), element(rnd.randint(1, d)), element(d), element(rnd.randint(1, d))]
+    short = rnd.choice([[0, 1], [1, 1], [rnd.randrange(1, m)]])
+    return m, f, digit, rows, short, rnd.randint(2, 7)
+
+
+@settings(derandomize=True, deadline=None, max_examples=16)
+@given(_ks1_operands())
+def test_ks1_reducer_matches_schoolbook_property(operands):
+    # the transform tier's KS1 packs against schoolbook: two-row products of
+    # unequal lengths, two-row squares, and a lockstep power of a full and
+    # a short base
+    m, f, digit, (a, b, c, e_), short, e = operands
+    fp = ModPoly(m, f)
+    reducer = _reducer_for(fp)
+    reducer._setup()
+    assert isinstance(reducer._form, _KS1) and reducer._fft.digit == digit
+    xs = [reducer._packed(v) for v in (a, c)]
+    ys = [reducer._packed(v) for v in (b, e_)]
+    for got, u, v in zip(reducer._mul(xs, ys), (a, c), (b, e_)):
+        assert reducer._unpacked(got) == _schoolbook_remainder(_mul_schoolbook(u, v, m), f, m)
+    for got, u in zip(reducer._mul(xs, xs), (a, c)):
+        assert reducer._unpacked(got) == _schoolbook_remainder(_mul_schoolbook(u, u, m), f, m)
+    assert poly_pow_mod_many([ModPoly(m, a), ModPoly(m, short)], e, fp) == \
+        [ModPoly(m, _reference_pow(v, e, f, m)) for v in (a, short)]
+
+
+@pytest.mark.parametrize("limit", [_ROUNDING_LIMIT, 1e-12], ids=["fitting", "no-digit-fits"])
+def test_reducer_takes_ks1_packs_exactly_in_the_transform_tier(limit, monkeypatch):
+    # _reducer_for's reducer packs KS1 exactly when the size rule gives it a
+    # _Transform: d B >= _TRANSFORM_MIN and fitting admits a digit; with a
+    # rounding limit that no digit meets, every reducer keeps KS2 packs
+    monkeypatch.setattr(polyring, "_ROUNDING_LIMIT", limit)
+    _reducer_for.cache_clear()
+    tiers = set()
+    for m in _TIER_MODULI + (2**20 + 7, 2**256 - 189):
+        edge = _edge(m)
+        for d in sorted({_KRONECKER_MIN, max(_KRONECKER_MIN, edge - 1), max(_KRONECKER_MIN, edge), edge + 1}):
+            reducer = _reducer_for(ModPoly(m, [1] * (d + 1)))
+            reducer._setup()
+            width = _width(m, d)
+            rule = 8 * width * d >= _TRANSFORM_MIN and _Transform.fitting(m, d, width) is not None
+            assert isinstance(reducer._form, _KS1 if rule else _KS2)
+            assert (reducer._fft is not None) == rule
+            tiers.add(rule)
+    _reducer_for.cache_clear()
+    assert tiers == ({True, False} if limit == _ROUNDING_LIMIT else {False})
 
 
 @st.composite
@@ -656,17 +801,17 @@ def _slot_operands(draw):
 @given(_slot_operands())
 def test_reduce_slots_matches_per_slot_mod_property(operands):
     # slots up to the stated bounds: c + BIAS as _remainder forms it, at
-    # most 2 d m^2, and the 2^B - 1 that _reduce_slots accepts
+    # most 2 d m^2, and the 2^B - 1 that the slot reduction accepts, in
+    # both forms of packed element
     m, d, n, rnd = operands
-    reducer = _Reducer(ModPoly(m, [1] * (d + 1)))
-    width = reducer._setup()
+    width = _width(m, d)
     cap, bound = 1 << 8 * width, d * (m - 1) ** 2 + d * m * m
     assert 2 * d * m * m < cap
     values = [rnd.choice((0, m - 1, m, bound, bound - rnd.randrange(m), cap - 1,
                           rnd.randrange(bound + 1), rnd.randrange(cap)))
               for _ in range(n)]
-    assert reducer._reduce_slots(*_packs(values, width), n) == \
-        _packs([v % m for v in values], width)
+    for form in (_KS2(m, d, width), _KS1(m, d, width, 2 * d)):
+        assert form.reduce(*form.pack(values)) == form.pack([v % m for v in values])
 
 
 @st.composite
@@ -683,17 +828,17 @@ def _quotient_operands(draw):
 @given(_quotient_operands())
 def test_mu_quotient_matches_schoolbook_property(operands):
     # c's slots carry multiples of m up to d (m-1)^2, the largest column
-    # sum of a product, as the slots of a packed product do
+    # sum of a product, as the slots of a packed product do; the reducer
+    # packs KS1 or KS2 by its tier
     m, c, f, rnd = operands
     d = len(f) - 1
     reducer = _Reducer(ModPoly(m, f))
-    width = reducer._setup()
+    reducer._setup()
     slots = [v + m * rnd.randrange((d * (m - 1) ** 2 - v) // m + 1)
              if rnd.random() < 0.5 else v for v in c]
     expected = list(c)
     _divmod_schoolbook(expected, f, m)
-    assert reducer._quotient([(*_packs(slots, width), len(c))]) == \
-        [(*_packs(expected[d:], width), len(c) - d)]
+    assert reducer._quotient([reducer._form.pack(slots)]) == [reducer._form.pack(expected[d:])]
 
 
 def _reference_euclid(u, f, bezout):
