@@ -430,14 +430,15 @@ class _Transform:
     then below 2^61 in the tier and below 2^63 at any size.
     """
 
-    __slots__ = ("np", "width", "digit", "size", "wrap", "wrap_size", "wrap_mask")
+    __slots__ = ("np", "width", "digit", "size", "wrap", "wrap_size", "wrap_bits", "wrap_mask")
 
     def __init__(self, width: int, digit: int, size: int, wrap: int):
         import numpy  # on the first reducer of the tier only
 
         self.np, self.width, self.digit, self.size = numpy, width, digit, size
         self.wrap, self.wrap_size = wrap, 8 * width * wrap // digit
-        self.wrap_mask = (1 << 8 * width * wrap) - 1
+        self.wrap_bits = 8 * width * wrap
+        self.wrap_mask = (1 << self.wrap_bits) - 1
 
     @classmethod
     def fitting(cls, m: int, d: int, width: int) -> "_Transform | None":
@@ -497,7 +498,7 @@ class _Transform:
             words[:, 1:] += high
         raw = self._scratch("packed", k, half, np.dtype(f"<u{digit // 4}"))
         np.copyto(raw, body, casting="unsafe")
-        out, mask, shift = [], self.wrap_mask, 8 * width * self.wrap
+        out, mask, shift = [], self.wrap_mask, self.wrap_bits
         for line, n, bad, spare in zip(raw.view(np.uint8), ns, tripped, words[:, half].tolist()):
             if bad:
                 out.append(None)
@@ -510,11 +511,15 @@ class _Transform:
         return out
 
     def _scratch(self, role: str, rows: int, length: int, dtype):
-        """This thread's array of role for rows x length, kept between
-        products: fresh arrays in every product made a ladder step 3-24%
-        slower at deg f 128-1024."""
+        """This thread's array of role for rows x length of dtype, kept
+        between products: fresh arrays in every product made a ladder step
+        3-24% slower at deg f 128-1024.  The pool is shared by every
+        _Transform, and a role's dtype can differ between them (the packed
+        words are u4 at 16-bit digits, u2 at 8-bit ones), so the dtype is
+        part of the key."""
         pool = vars(_SCRATCH)
-        key = role, rows, length
+        dtype = self.np.dtype(dtype)
+        key = role, rows, length, dtype
         if key not in pool:
             if len(pool) >= 32:
                 pool.clear()
@@ -588,27 +593,24 @@ class _KS1:
     _Transform product.  As c - q*f = r has degree below d < L = wrap, the
     remainder folds c and q*f mod x^L - 1 before it reads their low d
     slots: c has fewer than 2L slots, so its pack folds by one shift (a
-    no-op on a wrapped transform product)."""
+    no-op on a wrapped transform product), L and its mask read from the
+    reducer's _Transform fft."""
 
-    __slots__ = ("m", "d", "width", "bits", "slots", "bias", "mask", "shift", "low")
+    __slots__ = ("m", "d", "width", "bits", "slots", "bias", "mask", "fft")
 
-    def __init__(self, m: int, d: int, width: int, wrap: int):
+    def __init__(self, m: int, d: int, width: int, fft: _Transform):
         bits = 8 * width
         self.m, self.d, self.width, self.bits = m, d, width, bits
         self.slots = _Slots(m, width, d)
         self.bias = _pack([d * m * m] * d, width)
         self.mask = (1 << bits * d) - 1
-        self.shift = bits * wrap
-        self.low = (1 << self.shift) - 1
+        self.fft = fft
 
     def pack(self, a: Sequence[int]) -> tuple[int, int]:
         return _pack(a, self.width), len(a)
 
     def unpack(self, a: tuple[int, int]) -> list[int]:
         return _unpack(a[0], self.width, a[1], self.m)
-
-    def points(self, a: tuple[int, int]) -> None:
-        return None
 
     def times(self, x, y, kept) -> tuple[int, int]:
         # the same object on both sides takes CPython's squaring path
@@ -621,7 +623,7 @@ class _KS1:
     def remainder(self, c, qf) -> tuple[int, int]:
         # c and q*f mod x^L - 1, then (c mod x^d) + BIAS - (q*f mod x^d),
         # slots reduced
-        shift, low, mask = self.shift, self.low, self.mask
+        shift, low, mask = self.fft.wrap_bits, self.fft.wrap_mask, self.mask
         v, t = c[0], qf[0]
         v, t = (v & low) + (v >> shift), (t & low) + (t >> shift)
         return self.slots((v & mask) + self.bias - (t & mask)), self.d
@@ -693,7 +695,7 @@ class _Reducer:
             width = (2 * m.bit_length() + d.bit_length() + 2 + 7) // 8
             self._width = width
             self._fft = _Transform.fitting(m, d, width) if 8 * width * d >= _TRANSFORM_MIN else None
-            self._form = _KS2(m, d, width) if self._fft is None else _KS1(m, d, width, self._fft.wrap)
+            self._form = _KS2(m, d, width) if self._fft is None else _KS1(m, d, width, self._fft)
             self._mu = self._kept(self._reciprocal(d - 1)[::-1])
             self._f_kept = self._kept(self.f, wrapped=True)
         return self._width
@@ -703,8 +705,9 @@ class _Reducer:
         element, its KS2 points (int tier), whether its transform products
         wrap and, in the transform tier, its spectrum."""
         a = self._form.pack(coeffs)
-        return (a, self._form.points(a), wrapped,
-                None if self._fft is None else self._fft.spectrum([a], wrapped, "a").copy())
+        if self._fft is None:
+            return a, self._form.points(a), wrapped, None
+        return a, None, wrapped, self._fft.spectrum([a], wrapped, "a").copy()
 
     def _reciprocal(self, k: int) -> list[int]:
         # inverse of rev(f) modulo x^k; rev(f) has constant term 1 (f monic)

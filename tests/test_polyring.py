@@ -787,6 +787,36 @@ def test_reducer_takes_ks1_packs_exactly_in_the_transform_tier(limit, monkeypatc
     assert tiers == ({True, False} if limit == _ROUNDING_LIMIT else {False})
 
 
+@pytest.mark.parametrize("eight_first", [True, False], ids=["8-then-16", "16-then-8"])
+def test_digit_widths_share_scratch_rows_exactly(eight_first):
+    # a power mod a deg-590 f at 2^61 - 1 (8-bit digits, its wrapped q*f of
+    # 10200 digits) and a product mod a deg-302 f at 2^127 - 1 (16-bit
+    # digits, its mu quotient product of 10200 digits) both carry one row of
+    # 5100 words; in either order, each is schoolbook's
+    rng = random.Random(24)
+    cases = []
+    for m, d, sizes in ((2**61 - 1, 590, (590,)), (2**127 - 1, 302, (302, 301))):
+        f = [rng.randrange(m) for _ in range(d)] + [1]
+        operands = [[rng.randrange(m) for _ in range(n - 1)] + [rng.randrange(1, m)] for n in sizes]
+        _reducer_for(ModPoly(m, f))._setup()
+        assert _reducer_for(ModPoly(m, f))._fft.digit == (8 if d == 590 else 16)
+        cases.append((m, f, operands))
+    (m8, f8, (a8,)), (m16, f16, (a16, b16)) = cases
+
+    def eight():
+        assert poly_pow_mod(ModPoly(m8, a8), 5, ModPoly(m8, f8)) == ModPoly(m8, _reference_pow(a8, 5, f8, m8))
+
+    def sixteen():
+        assert poly_mul_mod(ModPoly(m16, a16), ModPoly(m16, b16), ModPoly(m16, f16)) == \
+            ModPoly(m16, _schoolbook_remainder(_mul_schoolbook(a16, b16, m16), f16, m16))
+
+    vars(polyring._SCRATCH).clear()
+    for run in ((eight, sixteen) if eight_first else (sixteen, eight)):
+        run()
+    packed = {key[-1].itemsize for key in vars(polyring._SCRATCH) if key[:3] == ("packed", 1, 5100)}
+    assert packed == {2, 4}
+
+
 @st.composite
 def _slot_operands(draw):
     # the moduli cross the byte boundaries of the slot width W
@@ -810,7 +840,7 @@ def test_reduce_slots_matches_per_slot_mod_property(operands):
     values = [rnd.choice((0, m - 1, m, bound, bound - rnd.randrange(m), cap - 1,
                           rnd.randrange(bound + 1), rnd.randrange(cap)))
               for _ in range(n)]
-    for form in (_KS2(m, d, width), _KS1(m, d, width, 2 * d)):
+    for form in (_KS2(m, d, width), _KS1(m, d, width, _Transform(width, 16, 4 * d, 2 * d))):
         assert form.reduce(*form.pack(values)) == form.pack([v % m for v in values])
 
 
