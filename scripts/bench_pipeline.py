@@ -1,18 +1,22 @@
-"""Wall time of default `abprime isprime` on one prime per bit size.
+"""Wall time of default `abprime isprime` on one prime per bit size, two trees interleaved.
 
-    python3 scripts/bench_pipeline.py --src SRC --label NAME [--out BENCH_pipeline.json]
+    python3 scripts/bench_pipeline.py --parent SRC --change SRC [--out BENCH_pipeline.json]
 
 Runs `python -m abprime.cli isprime N --seed 00 --json` with the library
-imported from SRC, on one prime of each bit size from START_BITS upward
-(perfbench's prime_of_bits with an RNG seeded by the bit size, so every
-tree times the same N).  Each call gets LIMIT_S seconds.  A size whose call
-runs over the limit, or within NEAR of it, is timed twice more and judged
-by the median of the three calls, a call over the limit counting as over
-it: one call near the limit would make the frontier turn on the host's
-load at that moment.  The first size whose time is over the limit, or
-whose call fails or does not return a PRIME verdict on a constructed f,
-ends the run.  The rows are stored under NAME in the output file, next to
-the runs already recorded there under other names.
+imported from each SRC, on one prime of each bit size from START_BITS upward
+(perfbench's prime_of_bits with an RNG seeded by the bit size, so both
+trees time the same N).  The two trees alternate size by size, the parent
+first at even sizes and the change first at odd ones, so a stretch of host
+load falls on both rather than on whichever tree ran during it.  Each call
+gets LIMIT_S seconds.  A size whose call runs over the limit, or within
+NEAR of it, is timed twice more and judged by the median of the three
+calls, a call over the limit counting as over it: one call near the limit
+would make the frontier turn on the host's load at that moment.  A tree's
+run ends at the first size whose time is over the limit, or whose call
+fails or does not return a PRIME verdict on a constructed f; the other
+tree goes on alone.  The rows are stored under "parent" and "change" in
+the output file, next to the runs already recorded there under other
+names.
 """
 from __future__ import annotations
 
@@ -72,32 +76,35 @@ def time_size(src: str, n: int) -> dict:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", required=True, help="directory holding the abprime package")
-    ap.add_argument("--label", required=True, help="name to store the run under")
+    ap.add_argument("--parent", required=True, help="directory holding the parent's abprime package")
+    ap.add_argument("--change", required=True, help="directory holding the change's abprime package")
     ap.add_argument("--out", default="BENCH_pipeline.json")
     args = ap.parse_args()
-    src = os.path.abspath(args.src)
-    sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
+    srcs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    sys.path[:0] = [srcs["change"], os.path.join(ROOT, "perfbench")]
     from workloads import prime_of_bits
 
-    rows = {}
+    rows = {label: {} for label in srcs}
+    running = list(srcs)
     bits = START_BITS
-    while True:
-        row = time_size(src, prime_of_bits(random.Random(f"bench-pipeline/{bits}"), bits))
-        rows[str(bits)] = row
-        print(bits, row, flush=True)
-        if "error" in row:
-            break
+    while running:
+        n = prime_of_bits(random.Random(f"bench-pipeline/{bits}"), bits)
+        for label in running if bits % 2 == 0 else running[::-1]:
+            row = rows[label][str(bits)] = time_size(srcs[label], n)
+            print(label, bits, row, flush=True)
+        running = [label for label in running if "error" not in rows[label][str(bits)]]
         bits += 1
     record = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             record = json.load(fh)
-    record.setdefault("runs", {})[args.label] = {
-        "limit_s": LIMIT_S,
-        "largest_bits_within_limit": bits - 1 if bits > START_BITS else None,
-        "bits": rows,
-    }
+    for label, bit_rows in rows.items():
+        last = max(int(b) for b in bit_rows)
+        record.setdefault("runs", {})[label] = {
+            "limit_s": LIMIT_S,
+            "largest_bits_within_limit": last - 1 if last > START_BITS else None,
+            "bits": bit_rows,
+        }
     record["command"] = "python -m abprime.cli isprime N --seed 00 --json (default c = 2)"
     record["environment"] = {
         "python": platform.python_version(),

@@ -65,14 +65,10 @@ from .primality import (
 from .pseudofield import (
     AxiomReport,
     Constructed,
-    CyclotomicAut,
-    CyclotomicElt,
     Pseudofield,
     TensorDependency,
     construct_poly_pipeline,
-    cyc_apply_aut,
     frobenius_index_mod_p,
-    gaussian_period,
     is_irreducible_mod_p,
     period_polynomial,
     pseudofield_from_period_pair,

@@ -1,18 +1,20 @@
 """Gaussian periods, period polynomials, pseudofields and tensor products.
 
-The cyclotomic ring (Z/NZ)[zeta_r] (r prime, r not dividing N) is
-represented on the power basis 1, zeta, ..., zeta^(r-2); the redundant
-zeta^(r-1) is always eliminated through 1 + zeta + ... + zeta^(r-1) = 0, so
-an element is a constant exactly when all higher coordinates vanish.  The
-Gaussian period eta_{r,q} is the sum of zeta^i over the index-q subgroup of
-(Z/rZ)^x, and the period polynomial f_{r,q} is the monic degree-q product
-of (x - tau eta) over the q cosets.
+For a period pair (r, q) of N (r prime, r not dividing N, q a prime
+dividing r - 1), let g be the smallest primitive root mod r and H = <g^q>
+the k = (r-1)/q q-th power residues.  The Gaussian period eta_{r,q} is the
+sum of zeta_r^h over H, and the period polynomial f_{r,q} is the monic
+degree-q product of (x - tau^c eta) over the q cosets g^c H, where tau is
+zeta -> zeta^g.  The ring (Z/NZ)[eta] has one representation: a
+polynomial in eta modulo x^r - 1 is fixed by zeta -> zeta^h for h in H, so
+it is kept as its q + 1 values on the classes {0} and g^c H of one class
+table per (r, q).  Multiplying by eta is one gather-and-sum of O(r) terms,
+tau rotates the cosets, and an element is 0 in (Z/NZ)[zeta_r] exactly
+when all its values are equal.
 
 f_{r,q} is built mod N from its power sums, which the constant terms of
-eta's powers give exactly.  Those powers, and the check f(eta) = 0 in
-(Z/NZ)[zeta_r], asserted once per call, run Horner modulo x^r - 1 on the
-q + 1 coset values of a polynomial in eta, one gather-and-sum of O(r)
-terms per step.  A period system's defining polynomial, the composed
+eta's powers give exactly; f(eta) = 0 is asserted once per call.  A
+period system's defining polynomial, the composed
 product of (x - alpha_i beta_j ...) over the roots of its period
 polynomials, is built mod N from power sums too: p_k of the product is the
 product of the factors' p_k, and its recomputed power sums are asserted.
@@ -23,11 +25,13 @@ product of two pseudofields is built the same way.
 A Pseudofield packages (N, f, deg f) for a monic f; its generator alpha is
 the residue of x and its distinguished endomorphism sigma is determined by
 sigma(alpha) = alpha^N.  Pseudofields built from period pairs carry their
-period system, which lets the axiom checks and the Frobenius-index
-computation use the cyclotomic action of sigma (sigma permutes the period
-conjugates by the class of N); for a pseudofield without that provenance
-the checks fall back to realizing sigma-powers as iterated x -> x^N
-exponentiation, which is equivalent when N is prime.
+period system.  The axiom checks then realize sigma through it: sigma
+shifts each pair's periods by tau^c for c the class of N, and
+tau^c(eta), an indicator of a coset, is written on the basis 1, eta, ...,
+eta^(q-1) by one elimination over the class values.  The Frobenius index
+reads the classes of p and N off the same table.  For a pseudofield
+without that provenance the checks fall back to realizing sigma-powers as
+iterated x -> x^N exponentiation, which is equivalent when N is prime.
 
 Everything that must invert an element of Z/NZ does so through try_invert,
 so a composite N can always short-circuit the construction by surfacing a
@@ -37,12 +41,12 @@ correct and welcome outcome, reported as FactorFound.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter, mul
-from typing import Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
-from .instrument import active_counter
 from .intarith import FactorFound, factorize, least_divisor, try_invert
 from .periodsys import (
     PeriodPair,
@@ -57,19 +61,13 @@ from .polyring import (
     Unit,
     UnitOutcome,
     _euclid,
-    _mul_coeffs,
     poly_is_unit_mod,
     poly_mul_mod,
     poly_pow_mod,
 )
 
 __all__ = [
-    "CyclotomicElt",
-    "CyclotomicAut",
-    "cyc_apply_aut",
     "smallest_primitive_root",
-    "gaussian_period",
-    "period_conjugates",
     "period_polynomial",
     "Pseudofield",
     "AxiomReport",
@@ -109,132 +107,8 @@ def _invert_or_hit(a: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic ring
+# the class table of a period pair
 # ---------------------------------------------------------------------------
-
-class CyclotomicElt:
-    """Element of (Z/NZ)[zeta_r] on the power basis 1..zeta^(r-2)."""
-
-    __slots__ = ("modulus", "r", "coords")
-
-    def __init__(self, modulus: int, r: int, coords: Sequence[int]):
-        if modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {modulus}")
-        if r < 3 or not is_small_prime(r):
-            raise ValueError(f"r must be an odd prime, got {r}")
-        if len(coords) != r - 1:
-            raise ValueError(f"need {r - 1} coordinates, got {len(coords)}")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "coords", tuple(c % modulus for c in coords))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclotomicElt is immutable")
-
-    @classmethod
-    def from_slots(cls, modulus: int, r: int, slots: Sequence[int]) -> "CyclotomicElt":
-        """Element sum(slots[i] * zeta^i, i < r), eliminating zeta^(r-1)."""
-        if len(slots) != r:
-            raise ValueError(f"need {r} slots, got {len(slots)}")
-        top = slots[r - 1]
-        return cls(modulus, r, [slots[i] - top for i in range(r - 1)])
-
-    @classmethod
-    def zero(cls, modulus: int, r: int) -> "CyclotomicElt":
-        return cls(modulus, r, [0] * (r - 1))
-
-    @classmethod
-    def one(cls, modulus: int, r: int) -> "CyclotomicElt":
-        return cls(modulus, r, [1] + [0] * (r - 2))
-
-    @classmethod
-    def zeta(cls, modulus: int, r: int) -> "CyclotomicElt":
-        return cls(modulus, r, [0, 1] + [0] * (r - 3))
-
-    def _compatible(self, other: "CyclotomicElt") -> None:
-        if self.modulus != other.modulus or self.r != other.r:
-            raise ValueError("mixed cyclotomic rings")
-
-    def __add__(self, other: "CyclotomicElt") -> "CyclotomicElt":
-        self._compatible(other)
-        return CyclotomicElt(
-            self.modulus, self.r,
-            [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other: "CyclotomicElt") -> "CyclotomicElt":
-        self._compatible(other)
-        return CyclotomicElt(
-            self.modulus, self.r,
-            [a - b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self) -> "CyclotomicElt":
-        return CyclotomicElt(self.modulus, self.r, [-a for a in self.coords])
-
-    def __mul__(self, other: "CyclotomicElt") -> "CyclotomicElt":
-        """One ring multiplication: the product's 2r - 3 slots, those at
-        i >= r folded onto i - r as zeta^r = 1."""
-        self._compatible(other)
-        m, r = self.modulus, self.r
-        counter = active_counter()
-        if counter is not None:
-            counter.poly_mults += 1
-        slots = _mul_coeffs(self.coords, other.coords, m)
-        for i in range(r, len(slots)):
-            slots[i - r] += slots[i]
-        return CyclotomicElt.from_slots(m, r, slots[:r])
-
-    def scale(self, c: int) -> "CyclotomicElt":
-        return CyclotomicElt(self.modulus, self.r, [c * a for a in self.coords])
-
-    def pow(self, e: int) -> "CyclotomicElt":
-        # in (Z/NZ[x])/(Phi_r), Phi_r = 1 + x + ... + x^(r-1): the power
-        # basis 1..zeta^(r-2) is its residue basis
-        m, r = self.modulus, self.r
-        p = poly_pow_mod(ModPoly(m, self.coords), e, ModPoly(m, [1] * r))
-        return CyclotomicElt(m, r, p.coeffs + (0,) * (r - 1 - len(p.coeffs)))
-
-    def is_constant(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
-
-    def constant_value(self) -> int:
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self.coords}")
-        return self.coords[0]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CyclotomicElt)
-                and self.modulus == other.modulus
-                and self.r == other.r
-                and self.coords == other.coords)
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.r, self.coords))
-
-    def __repr__(self) -> str:
-        return f"CyclotomicElt({self.modulus}, r={self.r}, {list(self.coords)})"
-
-
-@dataclass(frozen=True)
-class CyclotomicAut:
-    """The automorphism sigma_a: zeta_r -> zeta_r^a (needs r prime, r ∤ a)."""
-
-    r: int
-    a: int
-
-    def __post_init__(self):
-        if self.a % self.r == 0:
-            raise ValueError("a must be a unit mod r")
-
-
-def cyc_apply_aut(e: CyclotomicElt, aut: CyclotomicAut) -> CyclotomicElt:
-    """Image of e under zeta -> zeta^a, re-reduced to the power basis."""
-    if aut.r != e.r:
-        raise ValueError("automorphism for a different ring")
-    slots = [0] * e.r
-    for i, c in enumerate(e.coords):
-        slots[(i * aut.a) % e.r] = (slots[(i * aut.a) % e.r] + c) % e.modulus
-    return CyclotomicElt.from_slots(e.modulus, e.r, slots)
-
 
 def smallest_primitive_root(r: int) -> int:
     """Least primitive root modulo the prime r."""
@@ -249,16 +123,6 @@ def smallest_primitive_root(r: int) -> int:
     raise ValueError(f"no primitive root mod {r}")  # unreachable for prime r
 
 
-def _dlog(g: int, a: int, r: int) -> int:
-    """Discrete log of a base g mod r by direct scan (r is tiny here)."""
-    x = 1
-    for j in range(r - 1):
-        if x == a % r:
-            return j
-        x = x * g % r
-    raise ValueError(f"{a} has no discrete log base {g} mod {r}")
-
-
 def _check_pair_args(r: int, q: int, n: int) -> None:
     if not is_small_prime(r) or n % r == 0:
         raise ValueError(f"r must be a prime not dividing N, got r={r}")
@@ -266,27 +130,42 @@ def _check_pair_args(r: int, q: int, n: int) -> None:
         raise ValueError(f"q must be a prime divisor of r-1, got q={q}")
 
 
-def _qth_powers(r: int, q: int) -> list[int]:
-    """The q-th power residues mod r: the exponents i of zeta^i in eta."""
-    return sorted({pow(x, q, r) for x in range(1, r)})
+class _Classes(NamedTuple):
+    """The class table of a period pair (r, q), from _eta_classes."""
+
+    q: int
+    label: list[int]  # the class of t, for each t mod r
+    gather: itemgetter
+    k: int  # (r - 1) / q, the size of each coset
 
 
-def gaussian_period(r: int, q: int, n: int) -> CyclotomicElt:
-    """The period eta_{r,q}: sum of zeta^i over the q-th power residues mod r."""
-    _check_pair_args(r, q, n)
-    slots = [0] * r
-    for i in _qth_powers(r, q):
-        slots[i] = 1
-    return CyclotomicElt.from_slots(n, r, slots)
+def _eta_classes(r: int, q: int) -> _Classes:
+    """The class table of (r, q).
 
-
-def period_conjugates(r: int, q: int, n: int) -> list[CyclotomicElt]:
-    """The q conjugate periods tau^m(eta), m = 0..q-1, for tau = sigma_g with
-    g the smallest primitive root mod r."""
-    _check_pair_args(r, q, n)
+    With g the smallest primitive root mod r and H = <g^q> the k q-th power
+    residues, the classes are {0}, labelled 0, and the cosets g^c H,
+    labelled 1 + c for c = 0..q-1.  eta is the indicator of class 1, and
+    tau^s(eta) that of class 1 + (s mod q).  The coefficient of x^t in
+    eta acc sums acc's at x^(t-h) over h in H, so gather(acc), read at one
+    t per class, returns those k values for each class in turn, r + k - 1
+    in all."""
     g = smallest_primitive_root(r)
-    eta = gaussian_period(r, q, n)
-    return [cyc_apply_aut(eta, CyclotomicAut(r, pow(g, m, r))) for m in range(q)]
+    powers = [1]  # g^j, j = 0..r-2
+    for _ in range(r - 2):
+        powers.append(powers[-1] * g % r)
+    label = [0] * r
+    for j, t in enumerate(powers):
+        label[t] = 1 + j % q
+    subgroup = powers[::q]
+    gather = itemgetter(*[label[(t - h) % r] for t in [0] + powers[:q] for h in subgroup])
+    return _Classes(q, label, gather, len(subgroup))
+
+
+def _coset_class(a: int, classes: _Classes) -> int:
+    """The class of a in (Z/rZ)^x modulo q-th powers, as the exponent c with
+    a in g^c H: the automorphism zeta -> zeta^a shifts the period
+    conjugates by tau^c.  -1 when r divides a."""
+    return classes.label[a % len(classes.label)] - 1
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +192,8 @@ def period_polynomial(r: int, q: int, n: int) -> ModPoly:
     smooth = [1] + [math.gcd(j, pow(n, j.bit_length(), j)) for j in range(1, q + 1)]
     mods = list(accumulate(reversed(smooth), mul, initial=n))[::-1]
     classes = _eta_classes(r, q)
-    consts, _ = _eta_horner(classes, [1] + [0] * q, [k * m for m in mods[:-1]])
+    consts = [acc[0] for acc in
+              _eta_horner(classes, [1] + [0] * q, [k * m for m in mods[:-1]])]
     sums = [(r * s - pow(k, j, k * m)) % (k * m) // k
             for j, (s, m) in enumerate(zip(consts, mods))]
     coeffs = [c % n for c in reversed(_newton(sums, mods))]
@@ -321,59 +201,38 @@ def period_polynomial(r: int, q: int, n: int) -> ModPoly:
     return ModPoly(n, coeffs)
 
 
-def _eta_classes(r: int, q: int) -> tuple[itemgetter, int, int]:
-    """The class table of _eta_horner for (r, q): (gather, k, q + 1).
-
-    The k = (r-1)/q q-th power residues h form the subgroup H; the classes
-    are {0} and the q cosets s H, {0} first.  The coefficient of x^t in
-    eta acc sums acc's at x^(t-h) over h, so gather(acc), read at one t per
-    class, returns those k values for each class in turn, r + k - 1 in
-    all."""
-    powers = _qth_powers(r, q)
-    label = [0] * r  # the index of s's class
-    reps = [0]
-    for s in range(1, r):
-        if not label[s]:
-            for h in powers:
-                label[s * h % r] = len(reps)
-            reps.append(s)
-    gather = itemgetter(*[label[(t - h) % r] for t in reps for h in powers])
-    return gather, len(powers), len(reps)
-
-
 def _eta_horner(
-    classes: tuple[itemgetter, int, int], addends: Sequence[int], moduli: Sequence[int]
-) -> tuple[list[int], bool]:
+    classes: _Classes, addends: Sequence[int], moduli: Sequence[int]
+) -> Iterator[list[int]]:
     """Horner's rule acc <- eta acc + c in (Z/mZ)[x]/(x^r - 1), from acc = 0,
-    for c, m in zip(addends, moduli), each m a multiple of the next: the
-    constant term of acc after every step, and whether all r coefficients
-    of the last acc are equal.
+    for c, m in zip(addends, moduli), each m a multiple of the next: acc
+    after every step.
 
     acc, a polynomial in eta, is fixed by x -> x^h for each h in H, so it
-    is kept as its q + 1 values on the classes of _eta_classes(r, q), which
-    period_polynomial builds once for both its Horners.  A step sums the
-    gathered values class by class: O(r) additions whatever q is.
+    is kept as its q + 1 values on the classes, the constant term first.
+    A step sums the gathered values class by class: O(r) additions
+    whatever q is.
     """
-    gather, k, size = classes
-    acc, consts = [0] * size, []
+    gather, k = classes.gather, classes.k
+    acc = [0] * (classes.q + 1)
     for c, m in zip(addends, moduli):
         acc = [s % m for s in map(sum, zip(*[iter(gather(acc))] * k))]
         acc[0] = (acc[0] + c) % m
-        consts.append(acc[0])
-    return consts, len(set(acc)) == 1
+        yield acc
 
 
 def _check_period_root(r: int, q: int, n: int, coeffs: Sequence[int],
-                       classes: tuple[itemgetter, int, int]) -> None:
+                       classes: _Classes) -> None:
     """Raise RuntimeError unless f(eta) = 0 in (Z/nZ)[zeta_r].
 
-    _eta_horner, on the classes = _eta_classes(r, q), evaluates f at eta
-    modulo x^r - 1, to a(x) of degree < r.
+    _eta_horner evaluates f at eta modulo x^r - 1, to a(x) of degree < r.
     Phi_r = 1 + x + ... + x^(r-1) is monic of degree r - 1, so a mod Phi_r
     is a - a_{r-1} Phi_r, whose coefficients are a_i - a_{r-1}: a is 0 in
-    (Z/nZ)[x]/(Phi_r) exactly when all r coefficients are equal.
+    (Z/nZ)[x]/(Phi_r) exactly when all r coefficients, so all its class
+    values, are equal.
     """
-    if not _eta_horner(classes, coeffs[::-1], [n] * len(coeffs))[1]:
+    value = deque(_eta_horner(classes, coeffs[::-1], [n] * len(coeffs)), maxlen=1)[0]
+    if len(set(value)) != 1:
         raise RuntimeError(
             f"period polynomial does not vanish at eta for (r={r}, q={q}, N={n})")
 
@@ -625,26 +484,30 @@ def tensor_product(a1: Pseudofield, a2: Pseudofield) -> Union[Pseudofield, Facto
 
 # -- structural sigma machinery ---------------------------------------------
 
-def _coset_class(a: int, pair: PeriodPair) -> int:
-    """The class of a in (Z/rZ)^x modulo q-th powers, as the exponent c with
-    a = g^c times a q-th power, g the smallest primitive root mod r: the
-    automorphism zeta -> zeta^a shifts the period conjugates by tau^c."""
-    r = pair.r
-    return _dlog(smallest_primitive_root(r), a % r, r) % pair.q
-
-
 def _shifted_periods(
-    n: int, pair: PeriodPair, shifts: Sequence[int]
+    n: int, classes: _Classes, shifts: Sequence[int]
 ) -> Optional[list[list[int]]]:
     """Coordinates of tau^s(eta) on the basis 1, eta, ..., eta^(q-1) of the
     pair's ring over Z/nZ, one per s in shifts; None when the powers of eta
-    do not span them (a non-invertible pivot raises _FactorHit)."""
-    conjs = period_conjugates(pair.r, pair.q, n)
-    powers = [CyclotomicElt.one(n, pair.r)]
-    for _ in range(pair.q - 1):
-        powers.append(powers[-1] * conjs[0])
-    return _solve_columns([list(e.coords) for e in powers],
-                          [list(conjs[s % pair.q].coords) for s in shifts], n)
+    do not span them (a non-invertible pivot raises _FactorHit).
+
+    An element with class values v has the coordinate
+    v[label[t]] - v[label[r-1]] at zeta^t, t < r - 1, on the power basis
+    1..zeta^(r-2) of (Z/nZ)[zeta_r]; it takes one value per class.  The
+    rows are the q classes other than label[r-1], whose coordinate is 0, in
+    the order they first occur for t = 0..r-2, as the power basis orders
+    its rows: a pivot is the first nonzero entry of its column, so the
+    order decides which non-unit pivot, if any, is met for composite n."""
+    q, label = classes.q, classes.label
+    top = label[-1]
+    rows = [c for c in dict.fromkeys(label[:-1]) if c != top]
+
+    def coords(v: Sequence[int]) -> list[int]:
+        return [v[c] - v[top] for c in rows]
+
+    powers = _eta_horner(classes, [1] + [0] * (q - 1), [n] * q)
+    periods = ([int(c == 1 + s % q) for c in range(q + 1)] for s in shifts)
+    return _solve_columns([coords(v) for v in powers], [coords(v) for v in periods], n)
 
 
 def _report_from_checks(
@@ -709,8 +572,9 @@ def _verify_structural(a: Pseudofield) -> Optional[AxiomReport]:
     exponents = [d] + [d // l for l in primes]
     cols, targets = [[1]] * d, [[1]] * len(exponents)
     for pair, g in zip(pairs, polys):
-        c = _coset_class(n, pair)
-        shifted = _shifted_periods(n, pair, [i * c for i in exponents])
+        classes = _eta_classes(pair.r, pair.q)
+        c = _coset_class(n, classes)
+        shifted = _shifted_periods(n, classes, [i * c for i in exponents])
         if shifted is None:
             return None
         cols = [_kron(u, v, n) for u, v in zip(cols, _power_columns(g, d))]
@@ -778,14 +642,19 @@ def _pair_frobenius_index(n: int, pair: PeriodPair, p: int) -> int:
     r, q = pair.r, pair.q
     if p % r == 0:
         raise ValueError(f"p = {p} ramifies in the r = {r} cyclotomic ring")
-    class_n = _coset_class(n, pair)
-    class_p = _coset_class(p, pair)
-    if class_n == 0:
+    classes = _eta_classes(r, q)
+    class_n = _coset_class(n, classes)
+    class_p = _coset_class(p, classes)
+    if class_n < 1:
         raise ValueError(f"({r}, {q}) is not a period pair for {n}")
     i_j = class_p * pow(class_n, -1, q) % q
-    # sanity: Frobenius must shift the periods by the class of p
-    conjs = period_conjugates(r, q, p)
-    if conjs[0].pow(p) != conjs[class_p]:
+    # sanity: Frobenius must shift the periods by the class of p, eta^p =
+    # tau^class_p(eta) mod (p, Phi_r); the indicator slots of a class, with
+    # zeta^(r-1) eliminated, are its period on the power basis 1..zeta^(r-2)
+    label = classes.label
+    eta, shifted = (ModPoly(p, [(label[t] == c) - (label[-1] == c) for t in range(r - 1)])
+                    for c in (1, 1 + class_p))
+    if poly_pow_mod(eta, p, ModPoly(p, [1] * r)) != shifted:
         raise ValueError(
             f"Frobenius consistency check failed mod {p} for pair ({r}, {q})")
     return i_j

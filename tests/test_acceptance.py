@@ -14,7 +14,6 @@ from fractions import Fraction
 from abprime import (
     ABPolynomial,
     Constructed,
-    CyclotomicElt,
     ModPoly,
     Outcome,
     ab_failure_census_mod_p,
@@ -24,7 +23,6 @@ from abprime import (
     count_operations,
     factorize_desk,
     frobenius_index_mod_p,
-    gaussian_period,
     heuristic_class_scan,
     is_irreducible_mod_p,
     is_period_pair,
@@ -38,6 +36,7 @@ from abprime import (
 )
 from abprime.cli import main as cli_main
 from abprime.intarith import decompose_two_power
+from cyclotomic_oracle import gaussian_period, min_poly_mod_prime
 
 
 @contextlib.contextmanager
@@ -130,28 +129,6 @@ def test_criterion_3_schwartz_zippel_equality():
                         assert failing == roots, (n, p, f)
                         assert Fraction(failing, p**d) < Fraction(n, p**d), \
                             (n, p, f)
-
-
-def min_poly_mod_prime(elt, n, q):
-    """Minimal polynomial of a cyclotomic element over a prime field."""
-    r = elt.r
-    powers = [CyclotomicElt.one(n, r)]
-    for _ in range(q):
-        powers.append(powers[-1] * elt)
-    cols = [list(pw.coords) for pw in powers]
-    rows = [[cols[k][i] for k in range(q)] + [cols[q][i]] for i in range(r - 1)]
-    rank = 0
-    for col in range(q):
-        piv = next(i for i in range(rank, r - 1) if rows[i][col] % n)
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, n)
-        rows[rank] = [v * inv % n for v in rows[rank]]
-        for i in range(r - 1):
-            if i != rank and rows[i][col]:
-                t = rows[i][col]
-                rows[i] = [(a - t * b) % n for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return ModPoly(n, [(-rows[k][q]) % n for k in range(q)] + [1])
 
 
 def test_criterion_4_gaussian_period_pins():

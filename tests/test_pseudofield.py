@@ -10,17 +10,13 @@ from hypothesis import strategies as st
 from abprime import (
     AxiomReport,
     Constructed,
-    CyclotomicAut,
-    CyclotomicElt,
     FactorFound,
     ModPoly,
     PeriodPair,
     Pseudofield,
     Unit,
     construct_poly_pipeline,
-    cyc_apply_aut,
     frobenius_index_mod_p,
-    gaussian_period,
     is_irreducible_mod_p,
     is_period_pair,
     period_polynomial,
@@ -37,15 +33,24 @@ from abprime.pseudofield import (
     _FactorHit,
     _check_period_root,
     _composed_product,
+    _coset_class,
     _eta_classes,
     _kron,
     _power_columns,
     _solve_columns,
     _verify_power_chain,
     _verify_structural,
-    _qth_powers,
-    period_conjugates,
     smallest_primitive_root,
+)
+from cyclotomic_oracle import (
+    CyclotomicAut,
+    CyclotomicElt,
+    cyc_apply_aut,
+    gaussian_period,
+    min_poly_mod_prime,
+    period_conjugates,
+    qth_powers,
+    shifted_periods,
 )
 
 
@@ -165,31 +170,6 @@ def test_period_polynomial_monic_of_degree_q():
         assert f.modulus == n
 
 
-def min_poly_mod_prime(elt, n, q):
-    """Independent oracle: minimal polynomial of a cyclotomic element over a
-    prime field, by Gaussian elimination over F_n on its powers."""
-    r = elt.r
-    powers = [CyclotomicElt.one(n, r)]
-    for _ in range(q):
-        powers.append(powers[-1] * elt)
-    cols = [list(p.coords) for p in powers]
-    # solve sum(c_k * power_k) = power_q
-    rows = [[cols[k][i] for k in range(q)] + [cols[q][i]] for i in range(r - 1)]
-    rank = 0
-    for col in range(q):
-        piv = next(i for i in range(rank, r - 1) if rows[i][col] % n)
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, n)
-        rows[rank] = [v * inv % n for v in rows[rank]]
-        for i in range(r - 1):
-            if i != rank and rows[i][col]:
-                t = rows[i][col]
-                rows[i] = [(a - t * b) % n for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    coeffs = [(-rows[k][q]) % n for k in range(q)] + [1]
-    return ModPoly(n, coeffs)
-
-
 def test_period_polynomial_against_minimal_poly_oracle():
     # over prime fields, the expanded product equals the minimal polynomial
     for r, q, n in [(5, 2, 13), (7, 2, 11), (7, 3, 11), (11, 2, 7),
@@ -242,7 +222,7 @@ def test_period_polynomial_corrupted_coefficient_is_caught(monkeypatch, j):
 def _reference_period_root(r, q, n, coeffs):
     # the list Horner: slot vectors modulo x^r - 1, multiplying by eta sums
     # its (r-1)/q rotations, then zeta^(r-1) eliminated by from_slots
-    shifts = _qth_powers(r, q)
+    shifts = qth_powers(r, q)
     acc = [0] * r
     for c in reversed(coeffs):
         acc = [s % n for s in map(sum, zip(*[acc[-h:] + acc[:-h] for h in shifts]))]
@@ -356,7 +336,7 @@ def integer_period_polynomial(r, q):
     sums k = (r-1)/q roots of unity, so |e_j| <= C(q, j) k^j; primes P
     above 2^24 are combined until their product exceeds twice that bound,
     then the residues are lifted to symmetric representatives."""
-    residues = _qth_powers(r, q)
+    residues = qth_powers(r, q)
     g = smallest_primitive_root(r)
     cosets = [[i * pow(g, m, r) % r for i in residues] for m in range(q)]
     bound = max(math.comb(q, j) * len(residues) ** j for j in range(q + 1))
@@ -449,6 +429,18 @@ def test_smallest_primitive_root():
     assert smallest_primitive_root(7) == 3
     assert smallest_primitive_root(11) == 2
     assert smallest_primitive_root(13) == 2
+
+
+@pytest.mark.parametrize("r, q", [(3, 2), (7, 3), (31, 5), (53, 13), (607, 101)])
+def test_coset_class_is_the_discrete_log(r, q):
+    # the class of a unit a is its discrete log base g mod q, by a scan
+    # over the powers of g; a multiple of r has no class
+    classes = _eta_classes(r, q)
+    g = smallest_primitive_root(r)
+    for a in range(1, r):
+        dlog = next(j for j in range(r - 1) if pow(g, j, r) == a)
+        assert _coset_class(a, classes) == _coset_class(a + 3 * r, classes) == dlog % q
+    assert _coset_class(0, classes) == _coset_class(r, classes) == -1
 
 
 # ---------------------------------------------------------------------------
@@ -594,12 +586,26 @@ def test_frobenius_index_tensor_crt():
     assert frobenius_index_mod_p(t, 97) == 1
 
 
-def test_frobenius_index_validation():
+def test_frobenius_index_validation(monkeypatch):
     a = pseudofield_from_period_pair(341, PeriodPair(7, 3))
     with pytest.raises(ValueError):
         frobenius_index_mod_p(a, 4)  # not prime
     with pytest.raises(ValueError):
         frobenius_index_mod_p(a, 7)  # does not divide 341
+    # 341 = 1 mod 5 is a square mod 5, and 5 divides 55: neither has a
+    # class that generates the quotient of (Z/5Z)^x by its squares
+    for n in (341, 55):
+        b = Pseudofield(n, ModPoly(n, [-1, 1, 1]), 2, PeriodSystem((PeriodPair(5, 2),), 2))
+        with pytest.raises(ValueError, match=rf"\(5, 2\) is not a period pair for {n}"):
+            frobenius_index_mod_p(b, 11)
+    # a class of p off by one: eta^p is not the period it names
+    import abprime.pseudofield as pf
+    real = pf._coset_class
+    monkeypatch.setattr(pf, "_coset_class",
+                        lambda x, classes: (real(x, classes) + (x == 11)) % classes.q)
+    assert frobenius_index_mod_p(a, 31) == 2
+    with pytest.raises(ValueError, match="Frobenius consistency check failed mod 11"):
+        frobenius_index_mod_p(a, 11)
 
 
 def test_frobenius_index_search_refutes_non_pseudofield():
@@ -711,6 +717,26 @@ def test_structural_sigma_matches_power_chain_on_primes():
         fields = [pseudofield_from_period_pair(n, p) for p in result.system.pairs]
         chained = functools.reduce(tensor_product, fields)
         assert chained.f == f and chained.system == result.system, (n, d)
+
+
+def _oracle_sigma(n, classes, shifts):
+    # the power-basis oracle in place of the class-value shifted periods
+    return shifted_periods(n, PeriodPair(len(classes.label), classes.q), shifts)
+
+
+@pytest.mark.parametrize("n", [20923, 51107, 43279, 1455])
+def test_structural_sigma_matches_oracle_on_composites(monkeypatch, n):
+    # composites whose system at D = 12 is the one pair (53, 13): the
+    # elimination over the q class rows, taken in the order of the power
+    # basis, meets the pivots of the oracle's r - 1 rows, so the reports
+    # agree; the rows v_c - v_0 turn 51107 and 43279 into verified
+    import abprime.pseudofield as pf
+    result = construct_poly_pipeline(n, 12)
+    assert result.system.pairs == (PeriodPair(53, 13),)
+    report = verify_axioms(result.pseudofield)
+    assert report.verdict == "composite_found"
+    monkeypatch.setattr(pf, "_shifted_periods", _oracle_sigma)
+    assert report == verify_axioms(result.pseudofield), n
 
 
 def test_construct_pipeline_341():
