@@ -75,9 +75,6 @@ class CyclotomicElt:
             self.modulus, self.r,
             [a - b for a, b in zip(self.coords, other.coords)])
 
-    def __neg__(self) -> "CyclotomicElt":
-        return CyclotomicElt(self.modulus, self.r, [-a for a in self.coords])
-
     def __mul__(self, other: "CyclotomicElt") -> "CyclotomicElt":
         """One ring multiplication: the product's 2r - 3 slots, those at
         i >= r folded onto i - r as zeta^r = 1."""
@@ -111,9 +108,6 @@ class CyclotomicElt:
                 and self.modulus == other.modulus
                 and self.r == other.r
                 and self.coords == other.coords)
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.r, self.coords))
 
     def __repr__(self) -> str:
         return f"CyclotomicElt({self.modulus}, r={self.r}, {list(self.coords)})"
