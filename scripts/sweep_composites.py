@@ -9,7 +9,9 @@ run side by side.  Prints every (outcome, evidence kind) transition from
 parent to change with its count, the number of outcome changes, the number
 of inputs whose divisor changed, and the number that are identical.  Each
 divisor that does not properly divide its n, and each composite called
-PRIME, is flagged on either side.
+PRIME, is flagged on either side, and the script then exits 1, so that
+running it with --parent and --change on the same checkout checks the
+one-sided error.
 """
 from __future__ import annotations
 
@@ -71,13 +73,15 @@ def main(argv=None) -> int:
         if proc.wait() != 0:
             raise SystemExit(f"{side} sweep exited {proc.returncode}")
     transitions: collections.Counter = collections.Counter()
-    outcome_changes = changed_divisors = identical = 0
+    outcome_changes = changed_divisors = identical = flags = 0
     for n, par, chg in zip(ns, results["parent"], results["change"]):
         for side, row in (("parent", par), ("change", chg)):
             if row[0] == "PRIME":
                 print(f"FLAG {side}: composite {n} called PRIME")
+                flags += 1
             if row[1] == "Divisor" and not (1 < row[2] < n and n % row[2] == 0):
                 print(f"FLAG {side}: {row[2]} is not a proper divisor of {n}")
+                flags += 1
         transitions[(par[0], par[1]), (chg[0], chg[1])] += 1
         outcome_changes += par[0] != chg[0]
         changed_divisors += par[1] == chg[1] == "Divisor" and par[2] != chg[2]
@@ -89,7 +93,7 @@ def main(argv=None) -> int:
     print(f"outcome changes: {outcome_changes}")
     print(f"changed divisors: {changed_divisors}")
     print(f"identical: {identical}")
-    return 0
+    return 1 if flags else 0
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ Commands:
   census     exhaustive error-fraction oracles (mr / ab-p / ab-n / class)
   bench      runtime-to-accuracy comparison of the two tests
 
-Exit codes: 0 success / PRIME, 1 COMPOSITE or factor found, 2 UNKNOWN,
+Exit codes: 0 success / PRIME, 1 COMPOSITE or factor found, 2 UNKNOWN
+(isprime found no polynomial, or refused a predicted cost over its budget),
 3 construction found nothing, 5 a proven bound was violated by an exact
 census (the falsification signal), 64 usage or domain error.
 """

@@ -9,11 +9,16 @@ degree is the product of the q's.
 The search below takes the primes r from a sieve of Eratosthenes run in
 fixed-size segments, ascending, factors r-1 by trial division, keeps the
 smallest admissible r for each prime q, and then picks the subset of q's
-whose product lands in the target window [D, 2D), preferring the smallest
-degree (ties broken by lexicographic q-list).  The asymptotic theory backs
-the search only for astronomically large N and D; at desk scale the
-enumeration bounds are fixed caps, r < max(64, 16D) and q < 2D, and the
-search is best-effort: when nothing fits, it honestly returns None.
+whose product lands in the target window [D, 2D).  Any such system serves
+the construction, and a pair's period polynomial costs about q*r, so the
+subset is taken first among the pairs with r <= R_CAP, of the smallest
+degree there (ties broken by lexicographic q-list); only when those hold
+no system does the smallest degree over all pairs decide.  Once r passes
+R_CAP and the capped pairs hold a system, the scan stops.  The asymptotic
+theory backs the search only for astronomically large N and D; at desk
+scale the enumeration bounds are fixed caps, r < max(64, 16D) and q < 2D,
+and the search is best-effort: when nothing fits, it honestly returns
+None.
 
 Other primes (the r and q handed to is_period_pair and the pseudofield
 checks) are certified by is_small_prime: Miller-Rabin at the
@@ -60,6 +65,14 @@ class PeriodSystem:
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PSI_12 = 318665857834031151167461
 _SEGMENT = 1 << 15
+# The largest r that _smallest_system prefers.  A pair's period polynomial
+# costs about q*r additions, so a system of small r is built in
+# milliseconds at any desk-scale D, where the least-degree pair may need r
+# in the tens of thousands: (76679, 5477) at D = 5476 takes over a minute.
+# At 256 every default-c system of the scripts/bench_pipeline.py primes of
+# 9 to 128 bits is capped, at most 2.2% above the least degree (0.4% on
+# average).
+R_CAP = 256
 
 
 def is_small_prime(n: int) -> bool:
@@ -157,15 +170,24 @@ def find_period_system(n: int, degree_target: int) -> Optional[PeriodSystem]:
     q | r-1 below 2D (which any usable q must satisfy), found by trial
     division of r-1, keeps the smallest r making (r, q) a period pair for
     n.  Sieve and factorization prove r and q prime, so only the order test
-    of is_period_pair runs.  Deterministic: the same (n, D) always yields
-    the same system.
+    of is_period_pair runs.  The system is _smallest_system's: the least
+    degree among the pairs with r <= R_CAP, or when they hold none, among
+    all pairs.  Once r passes R_CAP every capped pair is known, so when
+    those already hold a system the scan stops there.  Deterministic: the
+    same (n, D) always yields the same system.
     """
     if n <= 1:
         raise ValueError(f"need n > 1, got {n}")
     if degree_target < 2:
         raise ValueError("degree target must be >= 2")
     best_r: dict[int, int] = {}
+    capped_checked = False
     for r in primes_below(max(64, 16 * degree_target)):
+        if r > R_CAP and not capped_checked:
+            capped_checked = True
+            system = _least_degree_system(best_r, degree_target)
+            if system is not None:
+                return system
         if n % r == 0:
             continue
         for q, _ in factorize(r - 1):
@@ -175,6 +197,16 @@ def find_period_system(n: int, degree_target: int) -> Optional[PeriodSystem]:
 
 
 def _smallest_system(
+    best_r: dict[int, int], degree_target: int
+) -> Optional[PeriodSystem]:
+    """The system _least_degree_system picks among the pairs with r <=
+    R_CAP, or when they hold none, among all pairs (best_r[q], q)."""
+    capped = {q: r for q, r in best_r.items() if r <= R_CAP}
+    return (_least_degree_system(capped, degree_target)
+            or _least_degree_system(best_r, degree_target))
+
+
+def _least_degree_system(
     best_r: dict[int, int], degree_target: int
 ) -> Optional[PeriodSystem]:
     """The system of least degree in [D, 2D) (ties: lexicographic q-list)

@@ -6,6 +6,10 @@ called composite.  Every COMPOSITE verdict carries re-checkable evidence
 (a divisor, a Miller-Rabin witness base, or the polynomial h for which the
 identity (h+1)^N = h^N + 1 fails mod f).  Randomness always enters through
 an integer seed, so a verdict is a pure function of (N, f, seed).
+
+The pipeline refuses, as UNKNOWN, an input whose predicted cost exceeds
+COST_BUDGET_S, before it builds any polynomial; combined_test and ab_test,
+which are handed f, have no budget.
 """
 from __future__ import annotations
 
@@ -16,7 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
+from .instrument import window_mults, window_width
 from .intarith import floor_log2, least_divisor, strong_probable_prime
+from .periodsys import PeriodSystem, find_period_system
 from .polyring import ModPoly, poly_pow_mod_many, random_poly
 
 __all__ = [
@@ -33,6 +39,8 @@ __all__ = [
     "miller_rabin",
     "ab_test",
     "combined_test",
+    "COST_BUDGET_S",
+    "predicted_cost",
     "full_pipeline",
 ]
 
@@ -225,6 +233,60 @@ def _random_monic(n: int, degree: int, rng: random.Random) -> ModPoly:
     return random_poly(degree, n, rng.getrandbits(64)) + ModPoly(n, [0] * degree + [1])
 
 
+# The cost model of full_pipeline, in seconds at the reference speed of
+# perfbench/calibrate.py.  Fitted to its stages on the scripts/bench_pipeline
+# primes of 12 to 104 bits: from 32 bits up it lies within -10% and +33% of
+# their measured sum, and below, where a call takes under a second, it
+# leaves out fixed costs worth up to 84%.  A ring product mod f costs
+# _PRODUCT_S * P^_PRODUCT_EXP for a pack of
+# P = deg f * slot bits, slot = 2 bits(N) + bits(deg f) (Kronecker in
+# CPython ints, then numpy.fft); the composed product's Newton's identities
+# and the Euclid after it cost _COMPOSE_S * deg f^2 * slot; a period
+# polynomial costs _PERIOD_S * q * r, its two Horners over the coset values.
+_PRODUCT_S = 9e-10
+_PRODUCT_EXP = 1.27
+_COMPOSE_S = 1.5e-9
+_PERIOD_S = 1.7e-7
+# Two thirds of scripts/bench_pipeline.py's one-minute limit, so that what
+# the budget admits finishes within the limit through a 1.5x slowdown of a
+# shared host.  The model puts the 93-bit bench prime at 38 s and the
+# 94-bit one at 40.4 s.
+COST_BUDGET_S = 40.0
+
+
+def predicted_cost(n: int, degree: int, system: Optional[PeriodSystem] = None) -> float:
+    """Predicted seconds, at the reference speed, of full_pipeline on n
+    with deg f = degree: the identity's two exponentiations of
+    window_mults(n, window_width(n)) ring products each, plus, given the
+    period system, its construction.  Without a system this is a lower
+    bound on every system of that degree, and the identity of the weak
+    fallback.  The Miller-Rabin rounds, under 1% at the budget, are left
+    out.  math.inf when the cost overflows a float."""
+    slot = 2 * n.bit_length() + degree.bit_length()
+    try:
+        cost = 2 * window_mults(n, window_width(n)) * _PRODUCT_S * (
+            float(degree * slot) ** _PRODUCT_EXP)
+        if system is not None:
+            cost += _PERIOD_S * sum(p.q * p.r for p in system.pairs)
+            if len(system.pairs) > 1:
+                cost += _COMPOSE_S * float(degree) ** 2 * slot
+    except OverflowError:
+        return math.inf
+    return cost
+
+
+def _over_budget(n: int, degree: int, seed: int,
+                 system: Optional[PeriodSystem] = None) -> Optional[Verdict]:
+    """The UNKNOWN verdict refusing n when predicted_cost exceeds
+    COST_BUDGET_S, else None."""
+    cost = predicted_cost(n, degree, system)
+    if cost <= COST_BUDGET_S:
+        return None
+    return Verdict(Outcome.UNKNOWN, ConstructionFailure(
+        f"predicted cost {cost:.3g} s at deg f = {degree} exceeds the budget "
+        f"of {COST_BUDGET_S:g} s"), seed, 0)
+
+
 def full_pipeline(n: int, config: PipelineConfig, seed: int) -> Verdict:
     """Construct a defining polynomial for n, then run the combined test.
 
@@ -233,7 +295,9 @@ def full_pipeline(n: int, config: PipelineConfig, seed: int) -> Verdict:
     composite, in which case that verdict is returned with the divisor
     found.  When no polynomial of the target degree exists at this size,
     the configured fallback policy decides between UNKNOWN and a weakened
-    run with a random monic f.
+    run with a random monic f.  Before the search, and again once the
+    system is known, n is refused as UNKNOWN when predicted_cost exceeds
+    COST_BUDGET_S, whatever the policy.
     """
     # imported here: pseudofield sits above this module in the layer order
     from .pseudofield import Constructed, TensorDependency, construct_poly_pipeline
@@ -245,14 +309,22 @@ def full_pipeline(n: int, config: PipelineConfig, seed: int) -> Verdict:
     if n % 2 == 0:
         return Verdict(Outcome.COMPOSITE, Divisor(2), seed, 0)
     d_target = target_degree(n, config)
+    refused = _over_budget(n, d_target, seed)
+    if refused is not None:
+        return refused
     rng = random.Random(seed)
     result = None
     note = f"no period system of degree in [{d_target}, {2 * d_target}) found"
     if n > 2 * d_target:
-        try:
-            result = construct_poly_pipeline(n, d_target)
-        except TensorDependency as exc:
-            result, note = None, str(exc)
+        system = find_period_system(n, d_target)
+        if system is not None:
+            refused = _over_budget(n, system.degree, seed, system)
+            if refused is not None:
+                return refused
+            try:
+                result = construct_poly_pipeline(n, d_target, system)
+            except TensorDependency as exc:
+                result, note = None, str(exc)
     else:
         note = f"degree target {d_target} needs n > {2 * d_target}"
     if result is not None and not isinstance(result, Constructed):

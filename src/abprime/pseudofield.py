@@ -689,9 +689,10 @@ def is_irreducible_mod_p(f: ModPoly, p: int) -> bool:
 
 
 def construct_poly_pipeline(
-    n: int, degree_target: int
+    n: int, degree_target: int, system: Optional[PeriodSystem] = None
 ) -> Union[Constructed, FactorFound, None]:
-    """Find a period system for n and build its defining polynomial.
+    """Find a period system for n, unless the one find_period_system(n,
+    degree_target) found is given, and build its defining polynomial.
 
     f is the composed product of the pairs' period polynomials, built mod n
     from power sums.  For a system of several pairs, Newton's identities
@@ -709,9 +710,10 @@ def construct_poly_pipeline(
         raise ValueError("degree target must be >= 2")
     if n <= 2 * degree_target:
         raise ValueError(f"need N > 2D = {2 * degree_target}, got {n}")
-    system = find_period_system(n, degree_target)
     if system is None:
-        return None
+        system = find_period_system(n, degree_target)
+        if system is None:
+            return None
     if len(system.pairs) > 1 and (p := least_divisor(n, system.degree)):
         return FactorFound(p)
     f = _squarefree_composed_product(

@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,6 +35,27 @@ def test_isprime_unknown(capsys):
                        "--fallback", "fail", "--seed", "00")
     assert code == 2
     assert "UNKNOWN" in out
+
+
+def test_isprime_refuses_past_the_budget_within_a_second(capsys):
+    # the 94-bit prime of scripts/bench_pipeline.py, the first size past the
+    # frontier of BENCH_pipeline.json, by default c and by --degree: the
+    # system found for D = 8649 is refused, D = 30000 before the search
+    n = "12501734772566047955130255101"
+    for extra, degree in (([], 8671), (["--degree", "8649"], 8671),
+                          (["--degree", "30000"], 30000)):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "isprime", n, *extra, "--seed", "00", "--json")
+        assert time.perf_counter() - start < 1.0, extra
+        assert code == 2, extra
+        obj = json.loads(out)
+        assert obj["outcome"] == "UNKNOWN"
+        note = obj["evidence"]["note"]
+        assert obj["evidence"]["kind"] == "construction_failure"
+        assert note.startswith("predicted cost ") and note.endswith(
+            f"at deg f = {degree} exceeds the budget of 40 s"), note
+    code, out, _ = run(capsys, "isprime", n, "--fallback", "weak", "--seed", "00")
+    assert code == 2 and "exceeds the budget of 40 s" in out
 
 
 def test_isprime_usage_error(capsys):

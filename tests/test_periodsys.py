@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -15,6 +16,7 @@ from abprime import (
 from abprime.intarith import factorize, strong_probable_prime
 from abprime.periodsys import (
     PSI_12,
+    R_CAP,
     PeriodSystem,
     _smallest_system,
     is_small_prime,
@@ -168,6 +170,88 @@ def test_find_period_system_matches_trial_division_search():
               for n in PIPELINE_C2_PRIMES + BENCH_PIPELINE_PRIMES]
     for n, d in cases:
         assert find_period_system(n, d) == trial_division_period_system(n, d), (n, d)
+
+
+def least_degree_by_subsets(best_r, degree_target):
+    """Oracle for _smallest_system's rule: every subset of q's, keyed by
+    (degree, ascending q-list), first among the pairs with r <= R_CAP."""
+    def least(table):
+        qs = sorted(table)
+        fits = [(math.prod(c), c) for k in range(1, len(qs) + 1)
+                for c in itertools.combinations(qs, k)
+                if degree_target <= math.prod(c) < 2 * degree_target]
+        if not fits:
+            return None
+        degree, chosen = min(fits)
+        return PeriodSystem(tuple(PeriodPair(table[q], q) for q in chosen), degree)
+
+    return least({q: r for q, r in best_r.items() if r <= R_CAP}) or least(best_r)
+
+
+def test_smallest_system_prefers_pairs_within_the_cap():
+    # (313, 13) has the least degree in [12, 24), but r = 313 > R_CAP, so
+    # the least capped system, 2 * 7 = 14, wins
+    best_r = {2: 3, 3: 7, 5: 11, 7: 29, 13: 313}
+    assert _smallest_system(best_r, 12) == PeriodSystem(
+        (PeriodPair(3, 2), PeriodPair(29, 7)), 14)
+    # with no capped system in the window, the least degree overall is kept
+    assert _smallest_system({2: 3, 13: 313}, 12) == PeriodSystem(
+        (PeriodPair(313, 13),), 13)
+    assert _smallest_system({2: 3, 3: 7, 13: 313, 17: 409}, 12) == PeriodSystem(
+        (PeriodPair(313, 13),), 13)
+    assert _smallest_system({2: 3, 13: 313}, 100) is None
+    # the pair at the cap itself counts as capped
+    assert R_CAP == 256
+    assert _smallest_system({3: 7, 13: 313, 17: R_CAP}, 12) == PeriodSystem(
+        (PeriodPair(R_CAP, 17),), 17)
+    # equal degrees go to the lexicographically least q-list, in the capped
+    # part as in the fallback (a real table holds prime q's, whose products
+    # never tie; 6 stands in for a composite key here)
+    assert _smallest_system({2: 3, 3: 7, 6: 13}, 5) == PeriodSystem(
+        (PeriodPair(3, 2), PeriodPair(7, 3)), 6)
+    assert _smallest_system({2: 300, 3: 700, 6: 1300}, 5) == PeriodSystem(
+        (PeriodPair(300, 2), PeriodPair(700, 3)), 6)
+
+
+def test_smallest_system_matches_subset_oracle():
+    rng = random.Random(33)
+    qs = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    for _ in range(300):
+        best_r = {q: rng.choice([rng.randint(3, R_CAP), rng.randint(R_CAP + 1, 4000)])
+                  for q in rng.sample(qs, rng.randint(1, 8))}
+        d = rng.randint(2, 400)
+        assert _smallest_system(best_r, d) == least_degree_by_subsets(best_r, d), (best_r, d)
+
+
+def test_capped_systems_of_pipeline_primes():
+    # systems that the least degree alone would take with r > R_CAP
+    assert find_period_system(3499, 121) == PeriodSystem(
+        (PeriodPair(13, 3), PeriodPair(83, 41)), 123)  # was (7, 2) (367, 61), 122
+    assert find_period_system(22973, 196) == PeriodSystem(
+        (PeriodPair(29, 7), PeriodPair(59, 29)), 203)  # was (797, 199), 199
+    # the 75-bit bench prime, which (76679, 5477) kept out of reach
+    assert find_period_system(26324174142146632047871, 5476) == PeriodSystem(
+        (PeriodPair(19, 2), PeriodPair(13, 3), PeriodPair(67, 11), PeriodPair(167, 83)),
+        5478)
+
+
+def test_search_stops_past_the_cap_once_a_capped_system_exists(monkeypatch):
+    drawn = []
+
+    def recorded(limit):
+        for r in primes_below(limit):
+            drawn.append(r)
+            yield r
+
+    monkeypatch.setattr(periodsys, "primes_below", recorded)
+    find_period_system(3499, 121)
+    assert drawn[-1] == 257  # the first prime past R_CAP, of those below 1936
+    # 2^30030 is a q-th power for every q <= 13, so no capped product lands
+    # in [128, 256) and every prime q there needs r >= 2q + 1 > R_CAP: the
+    # scan runs to its end and falls back to the least degree
+    drawn.clear()
+    assert find_period_system(2**30030, 128) == PeriodSystem((PeriodPair(263, 131),), 131)
+    assert drawn == list(primes_below(16 * 128))
 
 
 def test_find_period_system_small_window():

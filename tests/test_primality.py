@@ -20,7 +20,13 @@ from abprime import (
     trial_division_stage,
 )
 from abprime.instrument import window_mults, window_width
+from abprime.periodsys import PeriodPair, PeriodSystem
 from abprime.polyring import _TRANSFORM_MIN, _reducer_for
+from abprime.primality import COST_BUDGET_S, predicted_cost
+
+# the 94-bit prime of scripts/bench_pipeline.py, the first size past the
+# frontier of BENCH_pipeline.json
+FIRST_REFUSED = 12501734772566047955130255101
 
 
 def sieve_primes(n):
@@ -227,6 +233,58 @@ def test_full_pipeline_weak_fallback():
                                          fallback_policy="weak_random_f"), 1)
     assert v.outcome is Outcome.PRIME
     assert isinstance(v.evidence, ConstructionFailure)
+
+
+def test_full_pipeline_refuses_over_budget_before_the_search(monkeypatch):
+    import abprime.primality as primality
+    import abprime.pseudofield as pf
+
+    def unreached(*args):
+        raise AssertionError("searched or built past the budget")
+
+    monkeypatch.setattr(primality, "find_period_system", unreached)
+    monkeypatch.setattr(pf, "construct_poly_pipeline", unreached)
+    n = (1 << 4095) + 1  # D = 4095^2, far past the budget
+    for cfg in (PipelineConfig(), PipelineConfig(fallback_policy="weak_random_f"),
+                PipelineConfig(degree_override=10**6)):
+        v = full_pipeline(n, cfg, 3)
+        assert (v.outcome, v.seed, v.rounds_used) == (Outcome.UNKNOWN, 3, 0)
+        note = v.evidence.note
+        assert note.startswith("predicted cost ") and note.endswith(
+            f"exceeds the budget of {COST_BUDGET_S:g} s"), note
+    # the weak fallback's random f of degree D, with no system to search
+    v = full_pipeline(n, PipelineConfig(degree_override=(1 << 4094) + 1,
+                                        fallback_policy="weak_random_f"), 0)
+    assert v.outcome is Outcome.UNKNOWN and "exceeds the budget" in v.evidence.note
+
+
+def test_full_pipeline_refuses_over_budget_system_before_building_f(monkeypatch):
+    import abprime.pseudofield as pf
+
+    def unbuilt(r, q, n):
+        raise AssertionError(f"built the period polynomial ({r}, {q}) for {n}")
+
+    monkeypatch.setattr(pf, "period_polynomial", unbuilt)
+    n = FIRST_REFUSED
+    d = (n.bit_length() - 1) ** 2
+    assert predicted_cost(n, d) <= COST_BUDGET_S  # the search runs
+    v = full_pipeline(n, PipelineConfig(), 0)
+    assert v.outcome is Outcome.UNKNOWN
+    assert v.evidence == ConstructionFailure(
+        "predicted cost 40.4 s at deg f = 8671 exceeds the budget of 40 s")
+
+
+def test_predicted_cost():
+    n = (1 << 61) - 1
+    costs = [predicted_cost(n, d) for d in (10, 100, 1000, 10000)]
+    assert costs == sorted(costs) and costs[0] < 0.01
+    one = PeriodSystem((PeriodPair(227, 113),), 113)
+    two = PeriodSystem((PeriodPair(7, 3), PeriodPair(59, 29)), 87)
+    # a single pair pays its period polynomial only; several pay the
+    # composed product and its Euclid
+    assert predicted_cost(n, 113, one) > predicted_cost(n, 113)
+    assert predicted_cost(n, 87, two) - predicted_cost(n, 87) > 87 ** 2 * 1e-9
+    assert predicted_cost(n, 10**400) == float("inf")
 
 
 def test_pipeline_config_validation():

@@ -792,8 +792,9 @@ def test_construct_pipeline_newton_divisor():
 
 def test_construct_pipeline_divisor_before_period_polynomials(monkeypatch):
     # with several pairs, the least prime <= deg f dividing N is returned
-    # before any period polynomial is built; 3 * 2521951004103829 gets
-    # (11, 5), (9739, 541), whose q = 541 would cost 3^268 of precision
+    # before any period polynomial is built; 3 * 127267195311317681 at its
+    # default D gets (29, 7), (53, 13), (149, 37); each q would cost
+    # 3^(v_3(q!)) of extra precision in its period polynomial
     import abprime.pseudofield as pf
 
     def unbuilt(r, q, n):
@@ -801,10 +802,10 @@ def test_construct_pipeline_divisor_before_period_polynomials(monkeypatch):
 
     monkeypatch.setattr(pf, "period_polynomial", unbuilt)
     assert construct_poly_pipeline(20255, 6) == FactorFound(5)
-    n = 3 * 2521951004103829
-    assert find_period_system(n, 2704) == PeriodSystem(
-        (PeriodPair(11, 5), PeriodPair(9739, 541)), 2705)
-    assert construct_poly_pipeline(n, 2704) == FactorFound(3)
+    n = 3 * 127267195311317681
+    assert find_period_system(n, 3364) == PeriodSystem(
+        (PeriodPair(29, 7), PeriodPair(53, 13), PeriodPair(149, 37)), 3367)
+    assert construct_poly_pipeline(n, 3364) == FactorFound(3)
 
 
 def test_verify_structural_degree_not_below_modulus():
